@@ -8,6 +8,7 @@ Library layout:
   model      integrity constraints, equivalence classes, compression
   rules      DSm classic/hybrid rules, DST baselines, Bayesian mixture
   dynamic    staged fusion sessions with frame growth and re-constraining
+  render     text and CSV tables shared by the CLI and the worked examples
   cli        command-line interface
 """
 
@@ -28,7 +29,6 @@ from .lattice import (
     ENUMERATION_LIMIT,
     Frame,
     Proposition,
-    atom_universe,
     build_frame,
     conjoin,
     disjoin,
@@ -36,7 +36,6 @@ from .lattice import (
     enumerate_hpset,
     from_generators,
     leq,
-    minimal_parts,
     singleton,
     to_expression,
     total_ignorance,
@@ -49,8 +48,6 @@ from .model import (
     compress,
     encoding_matrix,
     free_model,
-    phi,
-    reduce,
     shafer_model,
     survivors,
 )

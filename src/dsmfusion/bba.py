@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -35,7 +35,6 @@ class MassAssignment:
         frame: Frame,
         masses: Mapping[Proposition, float] | Iterable[tuple[Proposition, float]],
         smets_mode: bool = False,
-        _validate: bool = True,
     ):
         if isinstance(masses, Mapping):
             masses = masses.items()
@@ -48,8 +47,7 @@ class MassAssignment:
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_masses", {p: v for p, v in ordered if v != 0.0})
         object.__setattr__(self, "smets_mode", bool(smets_mode))
-        if _validate:
-            self.validate()
+        self.validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("MassAssignment is immutable")
@@ -59,6 +57,9 @@ class MassAssignment:
         for prop, value in self._masses.items():
             if value < 0:
                 raise NegativeMass(f"m({prop}) = {value!r} is negative")
+            if not isfinite(value):
+                # nan compares false with everything, so the sum check below would pass it
+                raise MassSumNotOne(value)
         total = fsum(self._masses.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise MassSumNotOne(total)
@@ -96,10 +97,6 @@ class MassAssignment:
     def __repr__(self) -> str:
         inner = ", ".join(f"{p}: {v:.6g}" for p, v in self._masses.items())
         return f"MassAssignment({{{inner}}})"
-
-
-def validate(m: MassAssignment) -> bool:
-    return m.validate()
 
 
 def vacuous(frame: Frame) -> MassAssignment:

@@ -25,23 +25,9 @@ from .bba import MassAssignment
 from .dynamic import Stage, run_session
 from .errors import DsmError, FullContradiction, ScenarioError
 from .exprparse import parse
-from .lattice import (
-    ENUMERATION_LIMIT,
-    Frame,
-    Proposition,
-    build_frame,
-    enumerate_hpset,
-    to_expression,
-)
-from .model import (
-    HybridModel,
-    build_model,
-    compression_report,
-    encoding_matrix,
-    free_model,
-    shafer_model,
-    survivors,
-)
+from .lattice import ENUMERATION_LIMIT, Frame, Proposition, build_frame, enumerate_hpset
+from .model import build_model, encoding_matrix, free_model, shafer_model, survivors
+from .render import breakdown_lines, class_lines, compressed_lines, mass_lines
 from .rules import (
     MixtureSpec,
     RULE_NAMES,
@@ -60,10 +46,6 @@ def _print(line: str = "") -> None:
     sys.stdout.write(line + "\n")
 
 
-def _name_of(p: Proposition) -> str:
-    return "EMPTY" if p.is_empty else to_expression(p)
-
-
 def _parse_mass(text) -> float:
     # Masses travel as decimal strings so files parse identically everywhere;
     # plain JSON numbers are tolerated.
@@ -71,8 +53,15 @@ def _parse_mass(text) -> float:
         return float(text)
     try:
         return float(Decimal(str(text)))
-    except InvalidOperation as exc:
+    except (InvalidOperation, ValueError) as exc:  # ValueError: signaling NaN
         raise ScenarioError(f"bad decimal mass {text!r}") from exc
+
+
+def _string_list(obj: dict, key: str) -> tuple[str, ...]:
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ScenarioError(f"'{key}' must be a list of strings: {value!r}")
+    return tuple(value)
 
 
 def _load_scenario(path: str) -> dict:
@@ -115,69 +104,25 @@ def _stages_from(events: list, base_names: tuple[str, ...]) -> list[Stage]:
         if not isinstance(ev, dict):
             raise ScenarioError(f"event #{i + 1} must be an object: {ev!r}")
         label = str(ev.get("at", f"t{i + 1}"))
-        added = tuple(ev.get("add_elements", ()))
+        added = _string_list(ev, "add_elements")
         names = names + added
         source = None
         if "add_source" in ev:
             source = _source_from(ev["add_source"], build_frame(names), False)
-        constraints = None
-        if "set_constraints" in ev:
-            if not isinstance(ev["set_constraints"], list):
-                raise ScenarioError("'set_constraints' must be a list of expressions")
-            constraints = tuple(ev["set_constraints"])
+        constraints = _string_list(ev, "set_constraints") if "set_constraints" in ev else None
         stages.append(Stage(at=label, add_elements=added,
                             add_source=source, set_constraints=constraints))
     return stages
 
 
-def _mass_table(masses: MassAssignment, csv: bool) -> list[str]:
-    lines = []
-    if csv:
-        lines.append("prop,mass")
-        for p, v in masses.items():
-            lines.append(f"{_name_of(p)},{v:.6f}")
-    else:
-        for p, v in masses.items():
-            lines.append(f"{_name_of(p):36s} {v:9.6f}")
-    return lines
-
-
-def _breakdown_table(frame: Frame, bd, csv: bool) -> list[str]:
+def _breakdown_rows(bd) -> list[Proposition]:
+    # Small frames show every lattice element; larger ones only those the
+    # combination touched.
+    frame = bd.model.frame
     if frame.n <= ENUMERATION_LIMIT:
-        props = enumerate_hpset(frame)
-    else:
-        props = sorted(
-            set(bd.s1) | set(bd.s2) | set(bd.s3) | set(bd.result.keys()),
-            key=lambda p: p.sort_key,
-        )
-    lines = []
-    header = ("prop,phi,s1,s2,s3,mass" if csv
-              else f"{'element':36s} {'phi':>3s} {'S1':>9s} {'S2':>9s} {'S3':>9s} {'m':>9s}")
-    lines.append(header)
-    for p in props:
-        s1, s2, s3 = bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0)
-        m = bd.total(p)
-        if csv:
-            lines.append(f"{_name_of(p)},{bd.phi(p)},{s1:.6f},{s2:.6f},{s3:.6f},{m:.6f}")
-        else:
-            lines.append(f"{_name_of(p):36s} {bd.phi(p):3d} {s1:9.6f} {s2:9.6f} {s3:9.6f} {m:9.6f}")
-    return lines
-
-
-def _compressed_table(model: HybridModel, masses: MassAssignment, csv: bool) -> list[str]:
-    lines = []
-    if csv:
-        lines.append("prop,mass,provenance")
-    for rep, members, total in compression_report(model, dict(masses.items())):
-        name = _name_of(rep)
-        provenance = "+".join(f"{v:.6f}" for _, v in members) if len(members) > 1 else ""
-        if csv:
-            lines.append(f"{name},{total:.6f},{provenance}")
-        elif provenance:
-            lines.append(f"{name:36s} {provenance}={total:.6f}")
-        else:
-            lines.append(f"{name:36s} {total:9.6f}")
-    return lines
+        return enumerate_hpset(frame)
+    return sorted(set(bd.s1) | set(bd.s2) | set(bd.s3) | set(bd.result.keys()),
+                  key=lambda p: p.sort_key)
 
 
 def cmd_hpset(args) -> int:
@@ -192,8 +137,8 @@ def cmd_hpset(args) -> int:
         constraints += [parse(frame, e) for e in exprs]
     model = build_model(frame, constraints) if constraints else free_model(frame)
     classes = survivors(model)
-    for cls in classes:
-        _print(f"{_name_of(cls.representative):36s} members={len(cls.members)}")
+    for line in class_lines(classes):
+        _print(line)
     _print(f"total classes: {len(classes)}")
     if args.matrix:
         basis, matrix = encoding_matrix(model)
@@ -206,31 +151,19 @@ def cmd_hpset(args) -> int:
 def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
     csv = args.out == "csv"
     rule = args.rule
+    if args.breakdown and rule != "dsmh":
+        raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
+    lines = []
     if rule == "dsmh":
         bd = dsm_hybrid(sources, model)
         result = bd.result
-        if args.breakdown:
-            for line in _breakdown_table(frame, bd, csv):
-                _print(line)
-        else:
-            for line in _mass_table(result, csv):
-                _print(line)
-        if args.compress:
-            _print("-- compressed --" if not csv else "")
-            for line in _compressed_table(model, result, csv):
-                _print(line)
-        return 0
-
-    if args.breakdown:
-        raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
-
-    if rule == "dsmc":
+    elif rule == "dsmc":
         if not model.is_free:
             raise ScenarioError("rule 'dsmc' ignores constraints; drop them or use 'dsmh'")
         result = dsm_classic(sources)
     elif rule == "dempster":
         result, conflict = dempster(sources)
-        _print(f"conflict={conflict:.6f}")
+        lines.append(f"conflict={conflict:.6f}")
     elif rule in ("yager", "smets", "dubois-prade"):
         if len(sources) != 2:
             raise ScenarioError(f"rule {rule!r} combines exactly two sources")
@@ -244,7 +177,7 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
         for ent in entries:
             if not isinstance(ent, dict) or "probability" not in ent:
                 raise ScenarioError(f"mixture entries need a 'probability': {ent!r}")
-            constraints = [parse(frame, e) for e in ent.get("constraints", [])]
+            constraints = [parse(frame, e) for e in _string_list(ent, "constraints")]
             mix_model = build_model(frame, constraints) if constraints else free_model(frame)
             pairs.append((mix_model, _parse_mass(ent["probability"])))
         result = bayesian_mixture(sources, MixtureSpec(tuple(pairs)))
@@ -253,12 +186,15 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
     else:
         raise ScenarioError(f"unknown rule {rule!r}; choose from {', '.join(RULE_NAMES)}")
 
-    for line in _mass_table(result, csv):
-        _print(line)
+    if args.breakdown:
+        lines += breakdown_lines(bd, _breakdown_rows(bd), csv)
+    else:
+        lines += mass_lines(result, csv)
     if args.compress:
-        _print("-- compressed --" if not csv else "")
-        for line in _compressed_table(model, result, csv):
-            _print(line)
+        lines.append("" if csv else "-- compressed --")
+        lines += compressed_lines(model, dict(result.items()), csv)
+    for line in lines:
+        _print(line)
     return 0
 
 
@@ -267,11 +203,13 @@ def cmd_combine(args) -> int:
     if not isinstance(doc["frame"], list):
         raise ScenarioError("'frame' must be a list of singleton names")
     frame = build_frame(doc["frame"])
-    smets_mode = bool(doc.get("smets_mode", False))
+    smets_mode = doc.get("smets_mode", False)
+    if not isinstance(smets_mode, bool):
+        raise ScenarioError(f"'smets_mode' must be true or false: {smets_mode!r}")
     if not isinstance(doc["sources"], list) or not doc["sources"]:
         raise ScenarioError("scenario has no sources")
     sources = [_source_from(s, frame, smets_mode) for s in doc["sources"]]
-    constraint_exprs = tuple(doc.get("constraints", ()))
+    constraint_exprs = _string_list(doc, "constraints")
     constraints = [parse(frame, e) for e in constraint_exprs]
     model = build_model(frame, constraints) if constraints else free_model(frame)
 
@@ -287,10 +225,11 @@ def cmd_combine(args) -> int:
     csv = args.out == "csv"
     for i, rec in enumerate(session.history):
         _print(f"== stage {rec.label} ==" if not csv else f"# stage {rec.label}")
-        for line in _mass_table(rec.result, csv):
+        for line in mass_lines(rec.result, csv):
             _print(line)
         if args.breakdown and args.rule == "dsmh":
-            for line in _breakdown_table(rec.frame, session.breakdowns[i], csv):
+            bd = session.breakdowns[i]
+            for line in breakdown_lines(bd, _breakdown_rows(bd), csv):
                 _print(line)
     return 0
 

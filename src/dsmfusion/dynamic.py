@@ -86,12 +86,11 @@ class FusionSession:
         sources: list[MassAssignment],
         constraints: tuple[str, ...] = (),
         rule: str = "dsmh",
-        label: str = "t0",
     ) -> "FusionSession":
         session = cls(frame, [], tuple(constraints), rule)
         for src in sources:
             session.factors.append(embed(src, src.frame, frame))
-        session._combine(label)
+        session._combine("t0")
         return session
 
     def _active_model(self):
@@ -144,10 +143,9 @@ def run_session(
     stages: list[Stage],
     rule: str = "dsmh",
     constraints: tuple[str, ...] = (),
-    initial_label: str = "t0",
 ) -> FusionSession:
-    """Start a session from the initial block and apply every stage in order."""
-    session = FusionSession.start(frame, sources, constraints, rule, initial_label)
+    """Start a session from the initial block (labelled "t0") and apply every stage in order."""
+    session = FusionSession.start(frame, sources, constraints, rule)
     for stage in stages:
         session.apply(stage)
     return session
@@ -171,22 +169,18 @@ def _max_deviation(a: dict[str, float], b: dict[str, float]) -> float:
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
 
 
-def restore_check(
-    session: FusionSession,
-    constraints: tuple[str, ...],
-    label: str = "restore",
-    tolerance: float = 1e-9,
-) -> RestoreReport:
+def restore_check(session: FusionSession, constraints: tuple[str, ...]) -> RestoreReport:
     """Apply constraints and report which earlier result, if any, comes back.
 
-    Results on different frames compare by expression, which embedding
-    preserves.  Either the new sources carried no mass touching the original
-    singletons and an earlier result returns exactly, or residual mass keeps
-    the outcome different.
+    The new stage is labelled "restore"; an earlier result matches when no
+    mass deviates by more than 1e-9.  Results on different frames compare
+    by expression, which embedding preserves.  Either the new sources
+    carried no mass touching the original singletons and an earlier result
+    returns exactly, or residual mass keeps the outcome different.
     """
     earlier = [(rec.label, rec.by_expression()) for rec in session.history]
-    new = session.apply(Stage(at=label, set_constraints=tuple(constraints)))
+    new = session.apply(Stage(at="restore", set_constraints=tuple(constraints)))
     new_map = new.by_expression()
     deviations = tuple((lbl, _max_deviation(new_map, old)) for lbl, old in earlier)
-    matches = tuple(lbl for lbl, dev in deviations if dev <= tolerance)
-    return RestoreReport(label, deviations, matches)
+    matches = tuple(lbl for lbl, dev in deviations if dev <= 1e-9)
+    return RestoreReport("restore", deviations, matches)

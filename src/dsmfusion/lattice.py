@@ -29,9 +29,9 @@ from .errors import (
     InvalidIdentifier,
 )
 
-#: Frames larger than this refuse to enumerate unless forced (the lattice
-#: grows like the Dedekind numbers: 19 elements at n=3, 167 at n=4, 7580 at
-#: n=5, and millions beyond).
+#: Frames larger than this refuse to enumerate (the lattice grows like the
+#: Dedekind numbers: 19 elements at n=3, 167 at n=4, 7580 at n=5, and
+#: millions beyond).
 ENUMERATION_LIMIT = 5
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -235,11 +235,6 @@ def total_ignorance(frame: Frame) -> Proposition:
     return Proposition(frame, frame.full_mask)
 
 
-def atom_universe(frame: Frame) -> list[Atom]:
-    """All atoms of the frame in canonical order."""
-    return list(frame.atoms())
-
-
 def conjoin(p: Proposition, q: Proposition) -> Proposition:
     _check_same_frame(p, q)
     return Proposition(p.frame, p.mask & q.mask)
@@ -254,15 +249,6 @@ def leq(p: Proposition, q: Proposition) -> bool:
     """Lattice order: p below q iff every atom of p is an atom of q."""
     _check_same_frame(p, q)
     return p.mask & ~q.mask == 0
-
-
-def minimal_parts(p: Proposition) -> tuple[Atom, ...]:
-    """The anti-absorption residue of p: atoms minimal under digit-set inclusion.
-
-    A part is dropped whenever another kept part's digits are all contained
-    in it, so what remains is exactly the generator antichain.
-    """
-    return p.generators
 
 
 def u_of(p: Proposition) -> Proposition:
@@ -281,35 +267,21 @@ def u_of(p: Proposition) -> Proposition:
     return Proposition(p.frame, mask)
 
 
-def enumerate_hpset(frame: Frame, force: bool = False) -> list[Proposition]:
+def enumerate_hpset(frame: Frame) -> list[Proposition]:
     """Every element of the hyper-power set, EMPTY and total ignorance included.
 
     Deterministic order: atom count, then atom-bitset value.  Refuses frames
-    beyond ENUMERATION_LIMIT unless `force` is set.
+    beyond ENUMERATION_LIMIT.
     """
-    if frame.n > ENUMERATION_LIMIT and not force:
+    if frame.n > ENUMERATION_LIMIT:
         raise FrameTooLarge(
-            f"enumerating n={frame.n} exceeds the default limit "
-            f"{ENUMERATION_LIMIT}; pass force=True to override"
+            f"enumerating n={frame.n} exceeds the limit {ENUMERATION_LIMIT}"
         )
-    masks = _up_closed_masks(frame.n)
-    return [Proposition(frame, m) for m in masks]
-
-
-def _up_closed_masks(n: int) -> tuple[int, ...]:
-    # Cache only frames inside the default limit; a forced n >= 6 run is in
-    # the millions of elements and should not pin that memory.
-    if n <= ENUMERATION_LIMIT:
-        return _up_closed_masks_cached(n)
-    return _generate_up_closed_masks(n)
+    return [Proposition(frame, m) for m in _up_closed_masks(frame.n)]
 
 
 @lru_cache(maxsize=None)
-def _up_closed_masks_cached(n: int) -> tuple[int, ...]:
-    return _generate_up_closed_masks(n)
-
-
-def _generate_up_closed_masks(n: int) -> tuple[int, ...]:
+def _up_closed_masks(n: int) -> tuple[int, ...]:
     """All up-closed atom bitsets, sorted by (popcount, value)."""
     atoms = _atoms_for(n)
     count = len(atoms)

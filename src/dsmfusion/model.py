@@ -127,18 +127,28 @@ def shafer_model(frame: Frame) -> HybridModel:
     return HybridModel(frame, constraints, _shafer_constraint_mask(frame.n))
 
 
-def phi(model: HybridModel, p: Proposition) -> int:
-    return model.phi(p)
-
-
-def reduce(model: HybridModel, p: Proposition) -> Proposition:
-    return model.reduce(p)
-
-
 @dataclass(frozen=True)
 class EquivClass:
     representative: Proposition
     members: tuple[Proposition, ...]
+
+
+def _classes(
+    model: HybridModel, entries: Iterable[tuple[Proposition, float]]
+) -> list[tuple[Proposition, list[tuple[Proposition, float]]]]:
+    """Group (proposition, value) entries into model-equivalence classes.
+
+    Returns (representative, members) per class, classes ordered by their
+    surviving atom sets (count, then bitset value) and members in input
+    order.  The representative is reduced once per class.
+    """
+    groups: dict[int, list[tuple[Proposition, float]]] = {}
+    for prop, value in entries:
+        groups.setdefault(model.reduced_mask(prop), []).append((prop, value))
+    return [
+        (model.reduce(groups[reduced][0][0]), groups[reduced])
+        for reduced in sorted(groups, key=lambda m: (m.bit_count(), m))
+    ]
 
 
 def survivors(model: HybridModel) -> list[EquivClass]:
@@ -146,16 +156,12 @@ def survivors(model: HybridModel) -> list[EquivClass]:
 
     The merged-empty class is included, so the class count matches the
     element counts of the reduced lattice.  Classes are ordered by their
-    surviving atom sets (count, then bitset value).
+    surviving atom sets (count, then bitset value); members come in
+    canonical order.
     """
-    groups: dict[int, list[Proposition]] = {}
-    for p in enumerate_hpset(model.frame):
-        groups.setdefault(model.reduced_mask(p), []).append(p)
-    classes = []
-    for reduced in sorted(groups, key=lambda m: (m.bit_count(), m)):
-        members = tuple(sorted(groups[reduced], key=lambda p: p.sort_key))
-        classes.append(EquivClass(model.reduce(members[0]), members))
-    return classes
+    entries = ((p, 0.0) for p in enumerate_hpset(model.frame))
+    return [EquivClass(rep, tuple(p for p, _ in members))
+            for rep, members in _classes(model, entries)]
 
 
 def encoding_matrix(model: HybridModel) -> tuple[list[Atom], list[list[int]]]:
@@ -184,17 +190,14 @@ def compress(model: HybridModel, m: MassAssignment) -> MassAssignment:
     """
     if m.frame != model.frame:
         raise FrameMismatch("assignment is not on the model's frame")
-    sums: dict[Proposition, list[float]] = {}
-    for prop, value in m.items():
-        rep = model.reduce(prop)
-        if rep.is_empty and value > 0.0:
-            raise MassOnEmptyClass(f"mass {value!r} on {prop}, which is empty under the model")
-        sums.setdefault(rep, []).append(value)
-    return MassAssignment(
-        model.frame,
-        {rep: fsum(vals) for rep, vals in sums.items()},
-        smets_mode=m.smets_mode,
-    )
+    sums: dict[Proposition, float] = {}
+    for rep, members in _classes(model, m.items()):
+        if rep.is_empty:
+            for prop, value in members:
+                if value > 0.0:
+                    raise MassOnEmptyClass(f"mass {value!r} on {prop}, which is empty under the model")
+        sums[rep] = fsum(v for _, v in members)
+    return MassAssignment(model.frame, sums, smets_mode=m.smets_mode)
 
 
 def compression_report(
@@ -205,14 +208,5 @@ def compression_report(
     Members keep the order of the input mapping; classes come out in
     canonical order of their surviving atom sets.
     """
-    groups: dict[int, list[tuple[Proposition, float]]] = {}
-    reps: dict[int, Proposition] = {}
-    for prop, value in masses.items():
-        reduced = model.reduced_mask(prop)
-        groups.setdefault(reduced, []).append((prop, value))
-        reps.setdefault(reduced, model.reduce(prop))
-    out = []
-    for reduced in sorted(groups, key=lambda m_: (m_.bit_count(), m_)):
-        members = tuple(groups[reduced])
-        out.append((reps[reduced], members, fsum(v for _, v in members)))
-    return out
+    return [(rep, tuple(members), fsum(v for _, v in members))
+            for rep, members in _classes(model, masses.items())]

@@ -1,0 +1,76 @@
+"""Text and CSV tables for masses, hybrid breakdowns and compressed classes.
+
+The command-line tool and the worked examples print through these
+functions, so every table has one layout: element names padded to
+NAME_WIDTH, then the numbers with six decimals.  The CSV variants carry
+the same cells, comma-separated, under a header row.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+from .bba import MassAssignment
+from .lattice import Proposition, to_expression
+from .model import EquivClass, HybridModel, compression_report
+from .rules import HybridBreakdown
+
+NAME_WIDTH = 36
+
+
+def mass_lines(masses: MassAssignment, csv: bool = False) -> list[str]:
+    """One row per entry: element name and mass."""
+    if csv:
+        return ["prop,mass"] + [f"{to_expression(p)},{v:.6f}" for p, v in masses.items()]
+    return [f"{to_expression(p):{NAME_WIDTH}s} {v:9.6f}" for p, v in masses.items()]
+
+
+def breakdown_lines(
+    bd: HybridBreakdown, props: Sequence[Proposition], csv: bool = False
+) -> list[str]:
+    """Header, then one phi/S1/S2/S3/m row per proposition of `props`."""
+    if csv:
+        lines = ["prop,phi,s1,s2,s3,mass"]
+    else:
+        lines = [f"{'element':{NAME_WIDTH}s} {'phi':>3s} {'S1':>9s} {'S2':>9s} {'S3':>9s} {'m':>9s}"]
+    for p in props:
+        s1, s2, s3 = bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0)
+        m = bd.total(p)
+        name = to_expression(p)
+        if csv:
+            lines.append(f"{name},{bd.phi(p)},{s1:.6f},{s2:.6f},{s3:.6f},{m:.6f}")
+        else:
+            lines.append(f"{name:{NAME_WIDTH}s} {bd.phi(p):3d} {s1:9.6f} {s2:9.6f} {s3:9.6f} {m:9.6f}")
+    return lines
+
+
+def column_totals(bd: HybridBreakdown, props: Sequence[Proposition]) -> str:
+    """The row under a breakdown table: S1, S2, S3 and m summed over `props`."""
+    cols = [0.0, 0.0, 0.0, 0.0]
+    for p in props:
+        for i, v in enumerate((bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0), bd.total(p))):
+            cols[i] += v
+    return f"{'(column totals)':{NAME_WIDTH}s}     " + " ".join(f"{c:9.6f}" for c in cols)
+
+
+def compressed_lines(
+    model: HybridModel, masses: Mapping[Proposition, float], csv: bool = False
+) -> list[str]:
+    """One row per model class: representative, member masses joined by "+", total."""
+    lines = ["prop,mass,provenance"] if csv else []
+    for rep, members, total in compression_report(model, masses):
+        name = to_expression(rep)
+        provenance = "+".join(f"{v:.6f}" for _, v in members) if len(members) > 1 else ""
+        if csv:
+            lines.append(f"{name},{total:.6f},{provenance}")
+        elif provenance:
+            lines.append(f"{name:{NAME_WIDTH}s} {provenance}={total:.6f}")
+        else:
+            lines.append(f"{name:{NAME_WIDTH}s} {total:9.6f}")
+    return lines
+
+
+def class_lines(classes: Sequence[EquivClass]) -> list[str]:
+    """One row per model class: representative and member count."""
+    return [f"{to_expression(c.representative):{NAME_WIDTH}s} members={len(c.members)}"
+            for c in classes]

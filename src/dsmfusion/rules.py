@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import fsum
+from math import fsum, isfinite
 from typing import Mapping, Sequence
 
 from .bba import MassAssignment, require_power_set
@@ -32,7 +32,7 @@ from .errors import (
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
-from .lattice import Frame, Proposition, conjoin, disjoin, enumerate_hpset, total_ignorance, u_of
+from .lattice import Frame, Proposition, conjoin, disjoin, total_ignorance, u_of
 from .model import HybridModel, shafer_model
 
 #: CLI rule-selection strings.
@@ -49,21 +49,14 @@ def _common_frame(ms: Sequence[MassAssignment]) -> Frame:
     return frame
 
 
-def _entries(m: MassAssignment, dense: bool) -> list[tuple[Proposition, float]]:
-    if dense:
-        return [(p, m[p]) for p in enumerate_hpset(m.frame)]
-    return list(m.focal)
-
-
-def dsm_classic(ms: Sequence[MassAssignment], dense: bool = False) -> MassAssignment:
+def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     """Conjunctive combination on the free lattice; no normalization needed.
 
-    Iterates over focal sets only (set dense=True to grind over the whole
-    lattice instead, for cross-checking).  Commutative and associative.
+    Iterates over focal sets only.  Commutative and associative.
     """
     frame = _common_frame(ms)
     sums: dict[int, list[float]] = {}
-    for combo in product(*(_entries(m, dense) for m in ms)):
+    for combo in product(*(m.focal for m in ms)):
         p = 1.0
         mask = frame.full_mask
         for prop, value in combo:
@@ -95,9 +88,7 @@ class HybridBreakdown:
         return fsum((self.s1.get(p, 0.0), self.s2.get(p, 0.0), self.s3.get(p, 0.0)))
 
 
-def dsm_hybrid(
-    ms: Sequence[MassAssignment], model: HybridModel, dense: bool = False
-) -> HybridBreakdown:
+def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakdown:
     """Combine under a constraint model, transferring empty-set mass.
 
     Works on the free lattice throughout; reduction to surviving classes is
@@ -111,7 +102,7 @@ def dsm_hybrid(
     prepared = []
     for m in ms:
         rows = []
-        for prop, value in _entries(m, dense):
+        for prop, value in m.focal:
             rows.append((prop.mask, value, model.is_empty(prop), u_of(prop).mask))
         prepared.append(rows)
 
@@ -213,6 +204,9 @@ def lefevre_combine(
     summing to one; each A receives w(A) times the conflict, and w(EMPTY)
     keeps that share on EMPTY (open-world).
     """
+    for w in weights.values():
+        if not isfinite(w):
+            raise WeightsNotNormalized(f"weight {w!r} is not a finite number")
     total_w = fsum(weights.values())
     if abs(total_w - 1.0) > 1e-9:
         raise WeightsNotNormalized(f"weights sum to {total_w!r}, expected 1")
@@ -264,6 +258,8 @@ class MixtureSpec:
         for model, prob in self.entries:
             if model.frame != frame:
                 raise FrameMismatch("mixture models live on different frames")
+            if not isfinite(prob):
+                raise ProbabilitiesNotNormalized(f"probability {prob!r} is not a finite number")
             if prob < 0:
                 raise ProbabilitiesNotNormalized(f"negative probability {prob!r}")
         total = fsum(p for _, p in self.entries)

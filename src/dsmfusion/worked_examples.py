@@ -17,8 +17,9 @@ from .dynamic import Stage, run_session
 from .errors import FullContradiction
 from .exprparse import parse
 from .lattice import Frame, Proposition, build_frame, empty, to_expression
-from .model import build_model, compression_report, shafer_model, survivors
-from .rules import HybridBreakdown, dempster, dsm_classic, dsm_hybrid
+from .model import build_model, shafer_model, survivors
+from .render import breakdown_lines, column_totals, compressed_lines, mass_lines
+from .rules import dempster, dsm_classic, dsm_hybrid
 
 TOLERANCE = 5e-5
 
@@ -436,48 +437,9 @@ class _Checker:
             self.max_dev = max(self.max_dev, float("inf"))
 
 
-def _breakdown_lines(frame: Frame, bd: HybridBreakdown, title: str) -> list[str]:
-    lines = [f"== {title} =="]
-    lines.append(f"{'element':32s} {'phi':>3s} {'S1':>9s} {'S2':>9s} {'S3':>9s} {'m':>9s}")
-    cols = [0.0, 0.0, 0.0, 0.0]
-    for expr in ELEMENTS_3:
-        p = _prop(frame, expr)
-        s1, s2, s3 = bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0)
-        m = bd.total(p)
-        canon = "EMPTY" if p.is_empty else to_expression(p)
-        lines.append(
-            f"{canon:32s} {bd.phi(p):3d} {s1:9.6f} {s2:9.6f} {s3:9.6f} {m:9.6f}"
-        )
-        for i, v in enumerate((s1, s2, s3, m)):
-            cols[i] += v
-    lines.append(
-        f"{'(column totals)':32s}     {cols[0]:9.6f} {cols[1]:9.6f} {cols[2]:9.6f} {cols[3]:9.6f}"
-    )
-    return lines
-
-
-def _compressed_lines(model, full_masses: dict[Proposition, float], title: str) -> list[str]:
-    lines = [f"== {title} =="]
-    for rep, members, total in compression_report(model, full_masses):
-        name = "EMPTY" if rep.is_empty else to_expression(rep)
-        if len(members) > 1:
-            provenance = "+".join(f"{v:.6f}" for _, v in members)
-            lines.append(f"{name:32s} {provenance}={total:.6f}")
-        else:
-            lines.append(f"{name:32s} {total:.6f}")
-    return lines
-
-
-def _mass_lines(masses: MassAssignment, title: str) -> list[str]:
-    lines = [f"== {title} =="]
-    for p, v in masses.items():
-        name = "EMPTY" if p.is_empty else to_expression(p)
-        lines.append(f"{name:32s} {v:9.6f}")
-    return lines
-
-
-def _run_constraint_example(key: str, sources, classic_expected, uncompressed_expected,
-                            compressed_expected, rows_expected, s3_sum_expected) -> ExampleReport:
+def _run_constraint_example(example_id: str, key: str, sources, classic_expected,
+                            uncompressed_expected, compressed_expected, rows_expected,
+                            s3_sum_expected) -> ExampleReport:
     frame = _frame3()
     ms = [_assignment(frame, t) for t in sources]
     model = _model_for(frame, key)
@@ -490,7 +452,10 @@ def _run_constraint_example(key: str, sources, classic_expected, uncompressed_ex
         for expr, v in classic_expected.items():
             check.close(classic[parse(frame, expr)], v)
 
-    lines += _breakdown_lines(frame, bd, f"{key}: constraint {' , '.join(MODEL_CONSTRAINTS[key])}")
+    props = [_prop(frame, expr) for expr in ELEMENTS_3]
+    lines.append(f"== {example_id}: constraint {' , '.join(MODEL_CONSTRAINTS[key])} ==")
+    lines += breakdown_lines(bd, props)
+    lines.append(column_totals(bd, props))
     if rows_expected is not None:
         for expr, (phi_e, s1_e, s2_e, s3_e, m_e) in rows_expected.items():
             p = _prop(frame, expr)
@@ -505,8 +470,9 @@ def _run_constraint_example(key: str, sources, classic_expected, uncompressed_ex
         for expr, v in zip(ELEMENTS_3[1:], uncompressed_expected):
             check.close(bd.total(parse(frame, expr)), v)
 
-    full = {_prop(frame, expr): bd.total(_prop(frame, expr)) for expr in ELEMENTS_3}
-    lines += _compressed_lines(model, full, f"{key}: compressed")
+    full = {p: bd.total(p) for p in props}
+    lines.append(f"== {example_id}: compressed ==")
+    lines += compressed_lines(model, full)
     check.exact(len(survivors(model)) == CLASS_COUNTS[key])
     for expr, v in compressed_expected.items():
         rep = model.reduce(parse(frame, expr))
@@ -514,7 +480,7 @@ def _run_constraint_example(key: str, sources, classic_expected, uncompressed_ex
         check.close(total, v)
     check.close(bd.result.total, 1.0)
 
-    return ExampleReport(key, lines, check.checks, check.max_dev)
+    return ExampleReport(example_id, lines, check.checks, check.max_dev)
 
 
 def _run_dynamic_example(key: str) -> ExampleReport:
@@ -541,7 +507,8 @@ def _run_dynamic_example(key: str) -> ExampleReport:
     lines: list[str] = []
     results = {rec.label: rec for rec in session.history}
     for rec in session.history:
-        lines += _mass_lines(rec.result, f"{key}: stage {rec.label}")
+        lines.append(f"== {key}: stage {rec.label} ==")
+        lines += mass_lines(rec.result)
     for label, expected in data["expected"].items():
         rec = results[label]
         got = rec.by_expression()
@@ -562,11 +529,13 @@ def _run_contradiction_example() -> ExampleReport:
     lines = ["== contradiction: m1(t1)=1, m2(t2)=1 =="]
 
     classic = dsm_classic([m1, m2])
-    lines += _mass_lines(classic, "classic rule (free model)")
+    lines.append("== classic rule (free model) ==")
+    lines += mass_lines(classic)
     check.close(classic[parse(frame, "t1&t2")], 1.0)
 
     hybrid = dsm_hybrid([m1, m2], shafer_model(frame)).result
-    lines += _mass_lines(hybrid, "hybrid rule (exclusive singletons)")
+    lines.append("== hybrid rule (exclusive singletons) ==")
+    lines += mass_lines(hybrid)
     check.exact(hybrid[parse(frame, "t1|t2")] == 1.0)
     check.close(hybrid.total, 1.0)
 
@@ -596,18 +565,15 @@ def run_example(example_id: str) -> ExampleReport:
     rows = HYBRID_ROWS.get(key)
     classic = CLASSIC_3 if key == "m1" else None
     return _run_constraint_example(
-        key, SOURCES_3, classic, None, COMPRESSED_3[key], rows, S3_COLUMN_SUMS.get(key)
+        key, key, SOURCES_3, classic, None, COMPRESSED_3[key], rows, S3_COLUMN_SUMS.get(key)
     )
 
 
 def _run_general_example(key: str) -> ExampleReport:
-    report = _run_constraint_example(
-        key, GENERAL_SOURCES_3,
+    return _run_constraint_example(
+        f"general-{key}", key, GENERAL_SOURCES_3,
         GENERAL_CLASSIC_3 if key == "m1" else None,
         GENERAL_UNCOMPRESSED_3[key],
         GENERAL_COMPRESSED_3[key],
         None, None,
     )
-    report.example_id = f"general-{key}"
-    report.lines = [line.replace(f"{key}:", f"general-{key}:", 1) for line in report.lines]
-    return report

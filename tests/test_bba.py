@@ -17,15 +17,14 @@ from dsmfusion import (
     total_ignorance,
     vacuous,
 )
-from dsmfusion.bba import validate
 from dsmfusion.errors import EmptySetMass, MassSumNotOne, NegativeMass, NotPowerSetSupport
 from conftest import SOURCE_A, SOURCE_B, assignment
 
 
 class TestValidate:
     def test_reference_source_ok(self, frame3):
-        assert validate(assignment(frame3, SOURCE_A))
-        assert validate(assignment(frame3, SOURCE_B))
+        assert assignment(frame3, SOURCE_A).validate()
+        assert assignment(frame3, SOURCE_B).validate()
 
     def test_sum_not_one(self, frame3):
         with pytest.raises(MassSumNotOne) as exc:
@@ -54,6 +53,17 @@ class TestValidate:
         assignment(frame3, {"t1": 0.5 + 4e-10, "t2": 0.5})  # inside 1e-9
         with pytest.raises(MassSumNotOne):
             assignment(frame3, {"t1": 0.5 + 1e-8, "t2": 0.5})
+
+    @pytest.mark.parametrize("bad,error", [
+        (float("nan"), MassSumNotOne),
+        (float("inf"), MassSumNotOne),
+        (float("-inf"), NegativeMass),
+    ])
+    def test_non_finite(self, frame3, bad, error):
+        with pytest.raises(error):
+            assignment(frame3, {"t1": bad, "t2": 1.0})
+        with pytest.raises(error):
+            assignment(frame3, {"t1": bad})
 
 
 class TestVacuous:

@@ -40,6 +40,23 @@ SCENARIO_REF = {
 }
 
 
+# Two valid sources on one-letter names, so a string where a list belongs
+# splits into characters that still parse.
+SCENARIO_AB = {
+    "frame": ["a", "b"],
+    "sources": [
+        {"name": "x", "masses": [{"prop": "a", "mass": "0.6"}, {"prop": "b", "mass": "0.4"}]},
+        {"name": "y", "masses": [{"prop": "a", "mass": "0.7"}, {"prop": "b", "mass": "0.3"}]},
+    ],
+}
+
+
+def with_extra_mass(text):
+    doc = json.loads(json.dumps(SCENARIO_AB))
+    doc["sources"][0]["masses"].append({"prop": "a&b", "mass": text})
+    return doc
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     def write(doc, name="scenario.json"):
@@ -142,10 +159,28 @@ class TestCombine:
         {"frame": ["t1", "t2"], "sources": [{"name": "a", "masses": [{"prop": "t1"}]},
                                             {"name": "b", "masses": []}]},
         {"frame": ["t1", "t2"], "sources": [{"name": "a"}, {"name": "b"}]},
+        pytest.param(with_extra_mass("NaN"), id="nan-mass"),
+        pytest.param(with_extra_mass("Infinity"), id="inf-mass"),
+        pytest.param(with_extra_mass("sNaN"), id="snan-mass"),
+        pytest.param(dict(SCENARIO_AB, mixture=[{"probability": "NaN"},
+                                                {"constraints": ["a&b"], "probability": "1"}]),
+                     id="nan-probability"),
+        pytest.param(dict(SCENARIO_AB, constraints=[5]), id="constraint-not-string"),
+        pytest.param(dict(SCENARIO_AB, constraints="a"), id="constraints-string"),
+        pytest.param(dict(SCENARIO_AB, mixture=[{"constraints": [5], "probability": "1"}]),
+                     id="mixture-constraint-not-string"),
+        pytest.param(dict(SCENARIO_AB, mixture=[{"constraints": "a", "probability": "1"}]),
+                     id="mixture-constraints-string"),
+        pytest.param(dict(SCENARIO_AB, events=[{"add_elements": "c"}]), id="add-elements-string"),
+        pytest.param(dict(SCENARIO_AB, events=[{"set_constraints": [7]}]),
+                     id="set-constraint-not-string"),
+        pytest.param(dict(SCENARIO_AB, smets_mode="false"), id="smets-mode-string"),
     ])
     def test_malformed_scenarios_exit_2(self, scenario_file, doc):
         path = scenario_file(doc)
-        assert main(["combine", "--scenario", path, "--rule", "dsmc"]) == 2
+        # dsmh, unlike dsmc, accepts constraints, so a misread one exits 0
+        rule = "mixture" if "mixture" in doc else "dsmh"
+        assert main(["combine", "--scenario", path, "--rule", rule]) == 2
 
     def test_invalid_masses_exit_2(self, scenario_file):
         doc = {"frame": ["t1", "t2"],
@@ -269,6 +304,23 @@ class TestSweep:
 
 
 class TestReproduce:
+    def test_breakdown_rows_match_combine(self, scenario_file, capsys):
+        from dsmfusion.worked_examples import MODEL_CONSTRAINTS, SOURCES_3
+
+        doc = {
+            "frame": ["t1", "t2", "t3"],
+            "sources": [{"masses": [{"prop": k, "mass": repr(v)} for k, v in src.items()]}
+                        for src in SOURCES_3],
+            "constraints": list(MODEL_CONSTRAINTS["m2"]),
+        }
+        path = scenario_file(doc)
+        assert main(["combine", "--scenario", path, "--rule", "dsmh", "--breakdown"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert main(["reproduce", "--example", "m2"]) == 0
+        reproduced = set(capsys.readouterr().out.splitlines())
+        assert len(set(rows)) == 20  # header and the 19 elements
+        assert set(rows) <= reproduced
+
     def test_every_id_passes(self, capsys):
         from dsmfusion.worked_examples import EXAMPLE_IDS
 

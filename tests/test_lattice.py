@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsmfusion import (
-    atom_universe,
     build_frame,
     conjoin,
     disjoin,
@@ -12,7 +11,6 @@ from dsmfusion import (
     enumerate_hpset,
     from_generators,
     leq,
-    minimal_parts,
     singleton,
     to_expression,
     total_ignorance,
@@ -72,16 +70,16 @@ class TestFrame:
 
 class TestAtoms:
     def test_universe_n3(self, frame3):
-        labels = [a.label for a in atom_universe(frame3)]
+        labels = [a.label for a in frame3.atoms()]
         assert labels == ["1", "2", "3", "12", "13", "23", "123"]
 
     def test_universe_n1(self):
         f = build_frame(["only"])
-        assert [a.label for a in atom_universe(f)] == ["1"]
+        assert [a.label for a in f.atoms()] == ["1"]
 
     def test_universe_n4_count(self):
         f = build_frame(["a", "b", "c", "d"])
-        assert len(atom_universe(f)) == 15
+        assert len(f.atoms()) == 15
 
 
 class TestBasicOps:
@@ -177,7 +175,7 @@ class TestEnumeration:
 
     def test_upclosure_invariant(self):
         f = build_frame(["a", "b", "c", "d"])
-        atoms = atom_universe(f)
+        atoms = f.atoms()
         for prop in enumerate_hpset(f):
             present = {a.digits for a in prop.atoms}
             for a in prop.atoms:
@@ -189,17 +187,17 @@ class TestEnumeration:
 class TestAntiAbsorption:
     def test_minimal_single_chain(self, frame3):
         x = from_generators(frame3, [(3,), (1, 3), (2, 3), (1, 2, 3)])
-        assert [a.label for a in minimal_parts(x)] == ["3"]
+        assert [a.label for a in x.generators] == ["3"]
         assert to_expression(u_of(x)) == "t3"
 
     def test_minimal_incomparable(self, frame3):
         x = from_generators(frame3, [(1, 3), (2, 3), (1, 2, 3)])
-        assert {a.label for a in minimal_parts(x)} == {"13", "23"}
+        assert {a.label for a in x.generators} == {"13", "23"}
         assert u_of(x) == total_ignorance(frame3)
 
     def test_minimal_top(self, frame3):
         x = from_generators(frame3, [(1, 2, 3)])
-        assert [a.label for a in minimal_parts(x)] == ["123"]
+        assert [a.label for a in x.generators] == ["123"]
 
     def test_u_meet_join_agree(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
@@ -230,7 +228,7 @@ class TestAntiAbsorption:
 
     def test_minimal_parts_reconstruct(self, frame3):
         for prop in enumerate_hpset(frame3):
-            gens = minimal_parts(prop)
+            gens = prop.generators
             digit_sets = [set(a.digits) for a in gens]
             for i, a in enumerate(digit_sets):
                 for j, b in enumerate(digit_sets):

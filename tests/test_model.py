@@ -15,8 +15,6 @@ from dsmfusion import (
     enumerate_hpset,
     free_model,
     parse,
-    phi,
-    reduce,
     shafer_model,
     singleton,
     survivors,
@@ -67,51 +65,51 @@ class TestPhi:
     def test_free_model(self, frame3):
         m = free_model(frame3)
         for p in enumerate_hpset(frame3):
-            assert phi(m, p) == (0 if p.is_empty else 1)
+            assert m.phi(p) == (0 if p.is_empty else 1)
 
     def test_m2(self, frame3):
         m = model_for(frame3, "t1&t2")
-        assert phi(m, parse(frame3, "t1&t2")) == 0
-        assert phi(m, parse(frame3, "t1&t3")) == 1
+        assert m.phi(parse(frame3, "t1&t2")) == 0
+        assert m.phi(parse(frame3, "t1&t3")) == 1
 
     def test_absolute_empty(self, frame3):
-        assert phi(free_model(frame3), empty(frame3)) == 0
+        assert free_model(frame3).phi(empty(frame3)) == 0
 
     def test_frame_mismatch(self, frame3, frame2):
         with pytest.raises(FrameMismatch):
-            phi(free_model(frame3), singleton(frame2, 1))
+            free_model(frame3).phi(singleton(frame2, 1))
 
 
 class TestReduce:
     def test_m2_equivalences(self, frame3):
         m = model_for(frame3, "t1&t2")
-        assert reduce(m, parse(frame3, "(t1|t3)&t2")) == parse(frame3, "t2&t3")
-        assert reduce(m, parse(frame3, "(t2|t3)&t1")) == parse(frame3, "t1&t3")
-        assert reduce(m, parse(frame3, "((t1&t2)|t3)&(t1|t2)")) == parse(frame3, "(t1|t2)&t3")
-        assert reduce(m, parse(frame3, "(t1&t2)|t3")) == parse(frame3, "t3")
+        assert m.reduce(parse(frame3, "(t1|t3)&t2")) == parse(frame3, "t2&t3")
+        assert m.reduce(parse(frame3, "(t2|t3)&t1")) == parse(frame3, "t1&t3")
+        assert m.reduce(parse(frame3, "((t1&t2)|t3)&(t1|t2)")) == parse(frame3, "(t1|t2)&t3")
+        assert m.reduce(parse(frame3, "(t1&t2)|t3")) == parse(frame3, "t3")
 
     def test_m5_non_existential(self, frame3):
         m = model_for(frame3, "t1")
-        assert reduce(m, parse(frame3, "t1|t2")) == parse(frame3, "t2")
+        assert m.reduce(parse(frame3, "t1|t2")) == parse(frame3, "t2")
 
     def test_free_identity(self, frame3):
         m = free_model(frame3)
         for p in enumerate_hpset(frame3):
-            assert reduce(m, p) == p
+            assert m.reduce(p) == p
 
     def test_idempotent(self, frame3):
         rng = random.Random(7)
         m = model_for(frame3, "t1&t2")
         for _ in range(50):
             p = random_proposition(rng, frame3, allow_empty=True)
-            assert reduce(m, reduce(m, p)) == reduce(m, p)
+            assert m.reduce(m.reduce(p)) == m.reduce(p)
 
     def test_untouched_survivor(self, frame3):
         m = model_for(frame3, "t1&t2")
         p = parse(frame3, "t3")
         assert p.mask & m.empty_mask != 0  # t3 contains the 123 atom
         q = parse(frame3, "t1&t3")
-        assert reduce(m, q) == q  # canonical member of its own class
+        assert m.reduce(q) == q  # canonical member of its own class
 
 
 class TestSurvivors:
@@ -136,7 +134,7 @@ class TestSurvivors:
         assert sorted(members, key=lambda p: p.sort_key) == enumerate_hpset(frame3)
         for cls in classes:
             for member in cls.members:
-                assert reduce(m, member) == cls.representative
+                assert m.reduce(member) == cls.representative
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shafer_power_set_bijection(self, n):

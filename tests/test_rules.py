@@ -41,6 +41,9 @@ from dsmfusion.errors import (
 from conftest import SOURCE_A, SOURCE_B, assignment, random_bba, random_proposition
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
 def model_for(frame, *exprs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -149,11 +152,13 @@ class TestClassicRule:
         folded = dsm_classic([dsm_classic(ms[:2]), ms[2]])
         assert all(abs(base[k] - folded[k]) <= 1e-12 for k in set(base.keys()) | set(folded.keys()))
 
-    def test_dense_flag_matches(self, frame3):
+    def test_matches_dense_oracle(self, frame3):
+        # under the free model the hybrid oracle books every tuple on S1
         ms = [assignment(frame3, SOURCE_A), assignment(frame3, SOURCE_B)]
-        lean, dense = dsm_classic(ms), dsm_classic(ms, dense=True)
-        for prop in set(lean.keys()) | set(dense.keys()):
-            assert lean[prop] == pytest.approx(dense[prop], abs=1e-12)
+        lean = dsm_classic(ms)
+        oracle = oracle_hybrid(ms, free_model(frame3))
+        for prop in set(lean.keys()) | set(oracle):
+            assert lean[prop] == pytest.approx(oracle.get(prop, 0.0), abs=1e-12)
 
 
 # Full golden tables (phi, S1, S2, S3, m) live in worked_examples; here we
@@ -282,13 +287,6 @@ class TestHybridRule:
         for p in keys:
             assert bd.result[p] == pytest.approx(oracle.get(p, 0.0), abs=1e-12)
 
-    def test_dense_flag_matches(self, frame3, sources):
-        model = model_for(frame3, "t1&t2")
-        lean = dsm_hybrid(sources, model).result
-        dense = dsm_hybrid(sources, model, dense=True).result
-        for p in set(lean.keys()) | set(dense.keys()):
-            assert lean[p] == pytest.approx(dense[p], abs=1e-12)
-
 
 class TestDempster:
     def test_two_sources(self, frame2):
@@ -407,6 +405,12 @@ class TestLefevreFamily:
         with pytest.raises(WeightsNotNormalized):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): 0.5})
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_weight(self, frame2, bad):
+        m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
+        with pytest.raises(WeightsNotNormalized):
+            lefevre_combine(m1, m1, {parse(frame2, "t1"): bad, parse(frame2, "t2"): 1.0})
+
 
 class TestDuboisPrade:
     def test_full_contradiction(self, frame2):
@@ -467,6 +471,12 @@ class TestMixture:
         model = free_model(frame3)
         with pytest.raises(ProbabilitiesNotNormalized):
             MixtureSpec(((model, 0.5), (model, 0.6)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_probability(self, frame3, bad):
+        model = free_model(frame3)
+        with pytest.raises(ProbabilitiesNotNormalized):
+            MixtureSpec(((model, bad), (model, 1.0)))
 
 
 @settings(max_examples=60, deadline=None)
