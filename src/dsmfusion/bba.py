@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import fsum, isfinite
+from math import fsum
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -57,8 +57,10 @@ class MassAssignment:
         for prop, value in self._masses.items():
             if value < 0:
                 raise NegativeMass(f"m({prop}) = {value!r} is negative")
-            if not isfinite(value):
-                # nan compares false with everything, so the sum check below would pass it
+        for value in self._masses.values():
+            # nan compares false with everything, so the sum check below
+            # would pass it; a mass above one can overflow that sum
+            if not value <= 1.0 + SUM_TOLERANCE:
                 raise MassSumNotOne(value)
         total = fsum(self._masses.values())
         if abs(total - 1.0) > SUM_TOLERANCE:

@@ -48,7 +48,9 @@ def _print(line: str = "") -> None:
 
 def _parse_mass(text) -> float:
     # Masses travel as decimal strings so files parse identically everywhere;
-    # plain JSON numbers are tolerated.
+    # plain JSON numbers are tolerated, JSON booleans (ints in Python) are not.
+    if isinstance(text, bool):
+        raise ScenarioError(f"expected a decimal number, not {text!r}")
     if isinstance(text, (int, float)):
         return float(text)
     try:

@@ -22,6 +22,9 @@ from .lattice import Frame, Proposition, conjoin, disjoin, empty, singleton, to_
 
 _ALIASES = {"∩": "&", "∪": "|"}
 
+# Deepest parenthesis nesting accepted; the parser recurses once per level.
+_MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class ExprToken:
@@ -73,6 +76,7 @@ class _Parser:
         self.frame = frame
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> ExprToken:
         return self.tokens[self.pos]
@@ -104,8 +108,12 @@ class _Parser:
                 raise UnknownIdentifier(tok.text, tok.position)
             return singleton(self.frame, self.frame.index(tok.text))
         if tok.kind == "lparen":
+            if self.depth == _MAX_NESTING:
+                raise ExprSyntaxError(tok.position, f"at most {_MAX_NESTING} nested parentheses")
             self.advance()
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             closing = self.peek()
             if closing.kind != "rparen":
                 raise ExprSyntaxError(closing.position, "')'")

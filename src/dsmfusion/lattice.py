@@ -257,14 +257,18 @@ def u_of(p: Proposition) -> Proposition:
     Computed from the minimal parts: every digit occurring in the
     anti-absorption residue contributes its singleton.  u(EMPTY) = EMPTY.
     """
-    if p.is_empty:
-        return p
-    digits = sorted({d for atom in p.generators for d in atom.digits})
-    mask = 0
-    per_digit = _digit_masks(p.frame.n)
-    for d in digits:
-        mask |= per_digit[d - 1]
-    return Proposition(p.frame, mask)
+    return Proposition(p.frame, _u_mask(p.frame.n, p.mask))
+
+
+def _u_mask(n: int, mask: int) -> int:
+    """u() on atom bitsets: the union of every digit's singleton in mask's generators."""
+    atoms = _atoms_for(n)
+    per_digit = _digit_masks(n)
+    out = 0
+    for pos in _generator_positions(n, mask):
+        for d in atoms[pos].digits:
+            out |= per_digit[d - 1]
+    return out
 
 
 def enumerate_hpset(frame: Frame) -> list[Proposition]:

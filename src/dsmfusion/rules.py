@@ -1,14 +1,18 @@
 """Combination rules: DSm classic and hybrid, plus the DST family.
 
-The hybrid rule is evaluated tuple-by-tuple over the sources' focal sets.
-For each tuple of focal elements with product mass p:
+Every rule reads one conjunctive fold over the sources' focal sets.  A
+tuple of focal elements matters only through its product mass and three
+associative masks: the free-lattice intersection (meet), the free-lattice
+union (join) and the union of the members' u() (∪u).  The fold takes the
+sources one at a time and keeps a map from (meet, join, ∪u) to mass, so
+its work tracks the distinct states rather than the number of tuples.
 
-  * S1 books p on the free-lattice intersection (the classic rule);
-  * S2, when every element of the tuple is empty under the model, books p on
-    the union of the u() unions of the tuple (or on total ignorance when
-    that union is itself empty);
-  * S3, when the intersection is empty under the model, books p on the
-    free-lattice union of the tuple.
+The hybrid rule routes each state under the model:
+
+  * S1 books its mass on the meet (the classic rule);
+  * S2, when the join (so every member) is empty under the model, books it
+    on ∪u (or on total ignorance when ∪u is itself empty);
+  * S3, when the meet is empty under the model, books it on the join.
 
 The three tables keep their entries on model-empty rows, so a breakdown
 can show where constrained mass sat before the transfer; the final mass
@@ -20,7 +24,6 @@ normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import fsum, isfinite
 from typing import Mapping, Sequence
 
@@ -32,7 +35,7 @@ from .errors import (
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
-from .lattice import Frame, Proposition, conjoin, disjoin, total_ignorance, u_of
+from .lattice import Frame, Proposition, _u_mask, total_ignorance
 from .model import HybridModel, shafer_model
 
 #: CLI rule-selection strings.
@@ -49,6 +52,25 @@ def _common_frame(ms: Sequence[MassAssignment]) -> Frame:
     return frame
 
 
+def _fsums(table: dict) -> dict:
+    return {key: fsum(vals) for key, vals in table.items()}
+
+
+def _fold(frame: Frame, ms: Sequence[MassAssignment]) -> dict[tuple[int, int, int], float]:
+    """Map each (meet, join, ∪u) state to the mass of the tuples reaching it, summed exactly."""
+    n = frame.n
+    sources = [[(p.mask, value, _u_mask(n, p.mask)) for p, value in m.focal] for m in ms]
+    # the first source's focal sets are distinct, so each is a state of its own
+    states = {(mask, mask, u): value for mask, value, u in sources[0]}
+    for rows in sources[1:]:
+        step: dict[tuple[int, int, int], list[float]] = {}
+        for (meet, join, u), mass in states.items():
+            for mask, value, u_mask in rows:
+                step.setdefault((meet & mask, join | mask, u | u_mask), []).append(mass * value)
+        states = _fsums(step)
+    return states
+
+
 def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     """Conjunctive combination on the free lattice; no normalization needed.
 
@@ -56,16 +78,10 @@ def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     """
     frame = _common_frame(ms)
     sums: dict[int, list[float]] = {}
-    for combo in product(*(m.focal for m in ms)):
-        p = 1.0
-        mask = frame.full_mask
-        for prop, value in combo:
-            p *= value
-            mask &= prop.mask
-        sums.setdefault(mask, []).append(p)
-    smets = any(m.smets_mode for m in ms)
-    masses = {Proposition(frame, mask): fsum(vals) for mask, vals in sums.items()}
-    return MassAssignment(frame, masses, smets_mode=smets)
+    for (meet, _, _), mass in _fold(frame, ms).items():
+        sums.setdefault(meet, []).append(mass)
+    masses = {Proposition(frame, mask): total for mask, total in _fsums(sums).items()}
+    return MassAssignment(frame, masses, smets_mode=any(m.smets_mode for m in ms))
 
 
 @dataclass(frozen=True)
@@ -88,6 +104,26 @@ class HybridBreakdown:
         return fsum((self.s1.get(p, 0.0), self.s2.get(p, 0.0), self.s3.get(p, 0.0)))
 
 
+def _hybrid_breakdown(frame: Frame, states: dict, model: HybridModel) -> HybridBreakdown:
+    """Route the fold's states through S1, S2 and S3 under one model."""
+    empty_mask = model.empty_mask
+    s1: dict[int, list[float]] = {}
+    s2: dict[int, list[float]] = {}
+    s3: dict[int, list[float]] = {}
+    for (meet, join, u), mass in states.items():
+        s1.setdefault(meet, []).append(mass)
+        if join & ~empty_mask == 0:
+            target = u if u & ~empty_mask else frame.full_mask
+            s2.setdefault(target, []).append(mass)
+        if meet & ~empty_mask == 0:
+            s3.setdefault(join, []).append(mass)
+    s1f, s2f, s3f = ({Proposition(frame, mask): total for mask, total in _fsums(table).items()}
+                     for table in (s1, s2, s3))
+    totals = {p: fsum((s1f.get(p, 0.0), s2f.get(p, 0.0), s3f.get(p, 0.0)))
+              for p in set(s1f) | set(s2f) | set(s3f) if not model.is_empty(p)}
+    return HybridBreakdown(model, s1f, s2f, s3f, MassAssignment(frame, totals))
+
+
 def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakdown:
     """Combine under a constraint model, transferring empty-set mass.
 
@@ -97,100 +133,46 @@ def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakd
     frame = _common_frame(ms)
     if model.frame != frame:
         raise FrameMismatch("model frame differs from the sources' frame")
-
-    it_mask = frame.full_mask
-    prepared = []
-    for m in ms:
-        rows = []
-        for prop, value in m.focal:
-            rows.append((prop.mask, value, model.is_empty(prop), u_of(prop).mask))
-        prepared.append(rows)
-
-    s1: dict[int, list[float]] = {}
-    s2: dict[int, list[float]] = {}
-    s3: dict[int, list[float]] = {}
-    empty_mask = model.empty_mask
-    for combo in product(*prepared):
-        p = 1.0
-        inter = it_mask
-        uni = 0
-        all_empty = True
-        u_union = 0
-        for mask, value, is_empty, u_mask in combo:
-            p *= value
-            inter &= mask
-            uni |= mask
-            if is_empty:
-                u_union |= u_mask
-            else:
-                all_empty = False
-        s1.setdefault(inter, []).append(p)
-        if all_empty:
-            target = u_union if u_union & ~empty_mask else it_mask
-            s2.setdefault(target, []).append(p)
-        if inter & ~empty_mask == 0:
-            s3.setdefault(uni, []).append(p)
-
-    def finish(table: dict[int, list[float]]) -> dict[Proposition, float]:
-        return {Proposition(frame, mask): fsum(vals) for mask, vals in table.items()}
-
-    s1f, s2f, s3f = finish(s1), finish(s2), finish(s3)
-    totals: dict[Proposition, float] = {}
-    for prop in set(s1f) | set(s2f) | set(s3f):
-        if model.is_empty(prop):
-            continue
-        totals[prop] = fsum((s1f.get(prop, 0.0), s2f.get(prop, 0.0), s3f.get(prop, 0.0)))
-    result = MassAssignment(frame, totals)
-    return HybridBreakdown(model, s1f, s2f, s3f, result)
+    return _hybrid_breakdown(frame, _fold(frame, ms), model)
 
 
-def _conjunctive_power_set(
-    m1: MassAssignment, m2: MassAssignment
-) -> tuple[dict[Proposition, float], float, list[tuple[Proposition, Proposition, float]]]:
-    """Shafer-model conjunctive combination of two power-set assignments.
+def _conjunctive_power_set(ms: Sequence[MassAssignment]) -> tuple[dict, dict]:
+    """Shafer-model conjunctive combination of power-set assignments.
 
-    Returns the non-empty part, the total conflict, and the list of
-    conflicting pairs (a1, a2, product mass).
+    Reduces each fold state's meet under Shafer's model.  Returns the
+    non-empty part keyed by the reduced meet, and the conflict keyed by the
+    join of the focal sets behind it (the Dubois-Prade target).
     """
-    if m1.frame != m2.frame:
-        raise FrameMismatch("sources live on different frames")
-    require_power_set(m1)
-    require_power_set(m2)
-    shafer = shafer_model(m1.frame)
-    sums: dict[Proposition, list[float]] = {}
-    conflicts: list[tuple[Proposition, Proposition, float]] = []
-    for (a1, v1), (a2, v2) in product(m1.focal, m2.focal):
-        p = v1 * v2
-        meet = shafer.reduce(conjoin(a1, a2))
-        if meet.is_empty:
-            conflicts.append((a1, a2, p))
+    frame = _common_frame(ms)
+    for m in ms:
+        require_power_set(m)
+    shafer = shafer_model(frame)
+    combined: dict[Proposition, list[float]] = {}
+    conflicts: dict[Proposition, list[float]] = {}
+    for (meet, join, _), mass in _fold(frame, ms).items():
+        reduced = shafer.reduce(Proposition(frame, meet))
+        if reduced.is_empty:
+            conflicts.setdefault(Proposition(frame, join), []).append(mass)
         else:
-            sums.setdefault(meet, []).append(p)
-    combined = {prop: fsum(vals) for prop, vals in sums.items()}
-    conflict = fsum(p for _, _, p in conflicts)
-    return combined, conflict, conflicts
+            combined.setdefault(reduced, []).append(mass)
+    return _fsums(combined), _fsums(conflicts)
 
 
 def dempster(ms: Sequence[MassAssignment]) -> tuple[MassAssignment, float]:
-    """Normalized orthogonal sum, folded pairwise left to right.
+    """Normalized orthogonal sum of all the sources.
 
-    Returns the combined assignment and the total degree of conflict (for
-    two sources, the conjunctive mass on EMPTY).  Raises FullContradiction
-    when the conflict reaches 1 and the sum is undefined.
+    Returns the combined assignment and the total degree of conflict (the
+    conjunctive mass on EMPTY).  Raises FullContradiction when the conflict
+    reaches 1 and the sum is undefined.
     """
-    frame = _common_frame(ms)
-    acc = ms[0]
-    surviving = 1.0
-    for nxt in ms[1:]:
-        combined, conflict, _ = _conjunctive_power_set(acc, nxt)
-        # Normalize by the surviving mass rather than 1 - conflict; the two
-        # agree exactly but the former avoids cancellation near conflict 1.
-        scale = fsum(combined.values())
-        if conflict >= 1.0 or scale <= 0.0:
-            raise FullContradiction("degree of conflict is 1; orthogonal sum undefined")
-        acc = MassAssignment(frame, {p: v / scale for p, v in combined.items()})
-        surviving *= scale
-    return acc, 1.0 - surviving
+    combined, conflicts = _conjunctive_power_set(ms)
+    # Normalize by the surviving mass rather than 1 - conflict; the two
+    # agree exactly but the former avoids cancellation near conflict 1.
+    surviving = fsum(combined.values())
+    if surviving <= 0.0 or fsum(conflicts.values()) >= 1.0:
+        raise FullContradiction("degree of conflict is 1; orthogonal sum undefined")
+    normalized = {p: v / surviving for p, v in combined.items()}
+    return MassAssignment(ms[0].frame, normalized), 1.0 - surviving
 
 
 def lefevre_combine(
@@ -210,7 +192,8 @@ def lefevre_combine(
     total_w = fsum(weights.values())
     if abs(total_w - 1.0) > 1e-9:
         raise WeightsNotNormalized(f"weights sum to {total_w!r}, expected 1")
-    combined, conflict, _ = _conjunctive_power_set(m1, m2)
+    combined, conflicts = _conjunctive_power_set([m1, m2])
+    conflict = fsum(conflicts.values())
     out = dict(combined)
     empty_share = 0.0
     for prop, w in weights.items():
@@ -237,11 +220,10 @@ def smets(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
 
 def dubois_prade(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
     """Each conflicting product moves to the union of the pair that caused it."""
-    combined, _, conflicts = _conjunctive_power_set(m1, m2)
+    combined, conflicts = _conjunctive_power_set([m1, m2])
     out = dict(combined)
-    for a1, a2, p in conflicts:
-        target = disjoin(a1, a2)
-        out[target] = out.get(target, 0.0) + p
+    for target, mass in conflicts.items():
+        out[target] = out.get(target, 0.0) + mass
     return MassAssignment(m1.frame, out)
 
 
@@ -270,6 +252,7 @@ class MixtureSpec:
 def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAssignment:
     """Probability-weighted average of the per-model hybrid results.
 
+    The sources are folded once and the states routed under each model.
     Mixing happens on uncompressed lattice keys; per-model compression
     would merge classes differently per model and is deliberately not
     applied before the mixture.
@@ -277,9 +260,9 @@ def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAss
     frame = _common_frame(ms)
     if spec.entries[0][0].frame != frame:
         raise FrameMismatch("mixture models are not on the sources' frame")
+    states = _fold(frame, ms)
     sums: dict[Proposition, list[float]] = {}
     for model, prob in spec.entries:
-        partial = dsm_hybrid(ms, model).result
-        for prop, value in partial.items():
+        for prop, value in _hybrid_breakdown(frame, states, model).result.items():
             sums.setdefault(prop, []).append(prob * value)
-    return MassAssignment(frame, {p: fsum(vals) for p, vals in sums.items()})
+    return MassAssignment(frame, _fsums(sums))

@@ -54,6 +54,11 @@ class TestValidate:
         with pytest.raises(MassSumNotOne):
             assignment(frame3, {"t1": 0.5 + 1e-8, "t2": 0.5})
 
+    def test_huge_masses(self, frame3):
+        # each is finite, but their sum overflows a double
+        with pytest.raises(MassSumNotOne):
+            assignment(frame3, {"t1": 1e308, "t2": 1e308})
+
     @pytest.mark.parametrize("bad,error", [
         (float("nan"), MassSumNotOne),
         (float("inf"), MassSumNotOne),

@@ -57,6 +57,12 @@ def with_extra_mass(text):
     return doc
 
 
+def with_first_masses(*rows):
+    doc = json.loads(json.dumps(SCENARIO_AB))
+    doc["sources"][0]["masses"] = [{"prop": p, "mass": m} for p, m in rows]
+    return doc
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     def write(doc, name="scenario.json"):
@@ -175,6 +181,11 @@ class TestCombine:
         pytest.param(dict(SCENARIO_AB, events=[{"set_constraints": [7]}]),
                      id="set-constraint-not-string"),
         pytest.param(dict(SCENARIO_AB, smets_mode="false"), id="smets-mode-string"),
+        pytest.param(with_first_masses(("a", "1e308"), ("b", "1e308")), id="overflow-mass"),
+        pytest.param(with_first_masses(("a", True)), id="bool-mass"),
+        pytest.param(dict(SCENARIO_AB, mixture=[{"probability": True}]), id="bool-probability"),
+        pytest.param(dict(SCENARIO_AB, constraints=["(" * 2000 + "a&b" + ")" * 2000]),
+                     id="deep-parens"),
     ])
     def test_malformed_scenarios_exit_2(self, scenario_file, doc):
         path = scenario_file(doc)

@@ -60,6 +60,12 @@ class TestParse:
             parse(frame3, "t1 t2")
         assert exc.value.position == 3
 
+    def test_nesting_limit(self, frame3):
+        assert parse(frame3, "(" * 100 + "t1" + ")" * 100) == singleton(frame3, 1)
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(frame3, "(" * 101 + "t1" + ")" * 101)
+        assert exc.value.position == 100
+
     def test_byte_positions_with_unicode(self, frame3):
         # the 3-byte operator shifts later byte offsets
         with pytest.raises(UnknownIdentifier) as exc:

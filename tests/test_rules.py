@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dsmfusion import (
     MassAssignment,
     MixtureSpec,
+    Proposition,
     bayesian_mixture,
     build_frame,
     build_model,
@@ -84,6 +85,46 @@ def oracle_hybrid(ms, model):
         else:
             out[uni] = out.get(uni, 0.0) + p
     return out
+
+
+def oracle_tuples(ms, model):
+    """Second oracle: walk every tuple of focal sets, one per source.
+
+    Returns the S1, S2 and S3 tables keyed by Proposition, each sum exact
+    over the tuples booked on a key.
+    """
+    frame = ms[0].frame
+    full = frame.full_mask
+    s1, s2, s3 = {}, {}, {}
+    for combo in product(*(m.focal for m in ms)):
+        p = 1.0
+        inter, uni, u_union = full, 0, 0
+        all_empty = True
+        for prop, value in combo:
+            p *= value
+            inter &= prop.mask
+            uni |= prop.mask
+            if model.is_empty(prop):
+                u_union |= u_of(prop).mask
+            else:
+                all_empty = False
+        s1.setdefault(inter, []).append(p)
+        if all_empty:
+            target = u_union if u_union & ~model.empty_mask else full
+            s2.setdefault(target, []).append(p)
+        if inter & ~model.empty_mask == 0:
+            s3.setdefault(uni, []).append(p)
+    return tuple({Proposition(frame, mask): fsum(vals) for mask, vals in table.items()}
+                 for table in (s1, s2, s3))
+
+
+def random_model(rng, frame):
+    c = random_proposition(rng, frame)
+    if not c.mask or c.mask == frame.full_mask:
+        return free_model(frame)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_model(frame, [c])
 
 
 ELEMENTS = [
@@ -472,6 +513,21 @@ class TestMixture:
         with pytest.raises(ProbabilitiesNotNormalized):
             MixtureSpec(((model, 0.5), (model, 0.6)))
 
+    def test_weighted_sum_of_hybrids(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            frame = build_frame([f"t{i}" for i in range(1, rng.randint(2, 4) + 1)])
+            ms = [random_bba(rng, frame) for _ in range(rng.randint(2, 3))]
+            models = [random_model(rng, frame) for _ in range(rng.randint(1, 3))]
+            raw = [rng.random() + 0.05 for _ in models]
+            probs = [w / sum(raw) for w in raw]
+            mix = bayesian_mixture(ms, MixtureSpec(tuple(zip(models, probs))))
+            parts = [(prob, dsm_hybrid(ms, model).result) for model, prob in zip(models, probs)]
+            keys = set(mix.keys()).union(*(part.keys() for _, part in parts))
+            for p in keys:
+                want = fsum(prob * part[p] for prob, part in parts)
+                assert mix[p] == pytest.approx(want, abs=1e-12)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_probability(self, frame3, bad):
         model = free_model(frame3)
@@ -480,19 +536,21 @@ class TestMixture:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**9), n=st.integers(2, 3), k=st.integers(2, 3))
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 3), k=st.integers(2, 4))
 def test_hybrid_random_invariants(seed, n, k):
     rng = random.Random(seed)
     frame = build_frame([f"t{i}" for i in range(1, n + 1)])
     ms = [random_bba(rng, frame) for _ in range(k)]
-    c = random_proposition(rng, frame)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = build_model(frame, [c]) if c.mask and c.mask != frame.full_mask else free_model(frame)
+    model = random_model(rng, frame)
     bd = dsm_hybrid(ms, model)
     assert bd.result.total == pytest.approx(1.0, abs=1e-9)
     for p, v in bd.result.items():
         assert model.phi(p) == 1 or v == 0.0
-    oracle = oracle_hybrid(ms, model)
-    for p in set(bd.result.keys()) | set(oracle):
-        assert bd.result[p] == pytest.approx(oracle.get(p, 0.0), abs=1e-12)
+    for got, want in zip((bd.s1, bd.s2, bd.s3), oracle_tuples(ms, model)):
+        assert set(got) == set(want)
+        for p, v in want.items():
+            assert got[p] == pytest.approx(v, abs=1e-12)
+    if k <= 3:  # the dense oracle walks 19**k lattice tuples at n=3
+        oracle = oracle_hybrid(ms, model)
+        for p in set(bd.result.keys()) | set(oracle):
+            assert bd.result[p] == pytest.approx(oracle.get(p, 0.0), abs=1e-12)
