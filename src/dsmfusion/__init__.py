@@ -27,6 +27,7 @@ from .exprparse import parse, roundtrip
 from .lattice import (
     Atom,
     ENUMERATION_LIMIT,
+    FRAME_LIMIT,
     Frame,
     Proposition,
     build_frame,

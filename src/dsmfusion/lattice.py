@@ -10,6 +10,12 @@ is a superset of one of the proposition's generators.
 
 Atom order is fixed (cardinality, then lexicographic digits) so bit
 positions, printed tables and encoding matrices are reproducible.
+
+Generator extraction (`_generator_positions`, behind `generators`, `u_of`,
+`to_expression` and the model's `reduce`) requires a convex atom set: if
+atoms a ⊂ b ⊂ c have a and c present, b is present too.  Every up-closed
+set is convex, and so is an up-closed set minus an up-closed set (the
+atoms of a proposition that survive a model), which covers every caller.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 from .errors import (
@@ -33,6 +39,19 @@ from .errors import (
 #: Dedekind numbers: 19 elements at n=3, 167 at n=4, 7580 at n=5, and
 #: millions beyond).
 ENUMERATION_LIMIT = 5
+
+#: Frames larger than this are refused by build_frame.  Every proposition
+#: is a bitset of 2^n - 1 atoms, so each singleton added doubles the memory
+#: and time of every lattice operation; a two-source hybrid fusion at n=18
+#: takes about a second and 80 MB on a 2-vCPU VM.
+FRAME_LIMIT = 18
+
+#: Entries kept by the generator cache, keyed by proposition mask, and by
+#: the cache of generators' up-closures.  A pass of perfbench's
+#: fuse_many_sources workload touches 4365 distinct masks, and a 4096-entry
+#: cache thrashed there; a mask holds up to 2^n - 1 bits (32 KiB at
+#: FRAME_LIMIT).
+GENERATOR_CACHE_SIZE = 8192
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -60,47 +79,87 @@ class Atom:
 
 
 @lru_cache(maxsize=None)
+def _atom_digits(n: int) -> tuple[tuple[int, ...], ...]:
+    """The digit tuple of every atom, in canonical order."""
+    return tuple(chain.from_iterable(combinations(range(1, n + 1), size) for size in range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _atom_bits(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-n tables: the digit bitset of every atom position, and its inverse.
+
+    A digit bitset has bit d-1 set for digit d.  The first table follows
+    _atom_digits' order; entry b of the second is the position of the atom
+    whose digit bitset is b (entry 0 is unused).
+    """
+    powers = [1 << d for d in range(n)]
+    bits = tuple(chain.from_iterable(map(sum, combinations(powers, size)) for size in range(1, n + 1)))
+    # bits is a permutation of 1..2^n - 1, so sorting positions by bitset inverts it
+    return bits, (0, *sorted(range(len(bits)), key=bits.__getitem__))
+
+
+@lru_cache(maxsize=None)
 def _atoms_for(n: int) -> tuple[Atom, ...]:
     """All 2^n - 1 atoms of an n-singleton frame in canonical order."""
-    out = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            out.append(Atom(combo))
-    return tuple(out)
+    return tuple(Atom(digits) for digits in _atom_digits(n))
 
 
 @lru_cache(maxsize=None)
 def _digit_masks(n: int) -> tuple[int, ...]:
     """Entry d-1 is the bitset of atom positions whose digits include d."""
-    atoms = _atoms_for(n)
-    masks = [0] * n
-    for pos, atom in enumerate(atoms):
-        for d in atom.digits:
-            masks[d - 1] |= 1 << pos
-    return tuple(masks)
+    # One row of n binary digits per atom, highest position first; column k
+    # of the rows, read as one number, is the atom bitset of digit n - k.
+    rows = [format(b, f"0{n}b") for b in reversed(_atom_bits(n)[0])]
+    return tuple(int("".join(column), 2) for column in zip(*rows))[::-1]
 
 
-@lru_cache(maxsize=None)
-def _up_mask(n: int, digits: tuple[int, ...]) -> int:
-    """Bitset of all atoms whose digit sets contain every digit given."""
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _up_mask(n: int, digits: int) -> int:
+    """Bitset of all atoms whose digit sets contain every digit of a digit bitset."""
     mask = (1 << (2**n - 1)) - 1
     per_digit = _digit_masks(n)
-    for d in digits:
-        mask &= per_digit[d - 1]
+    while digits:
+        low = digits & -digits
+        mask &= per_digit[low.bit_length() - 1]
+        digits ^= low
     return mask
 
 
-@lru_cache(maxsize=None)
+def _singletons_union(n: int, digits: int) -> int:
+    """Bitset of the union of the singletons named by a digit bitset."""
+    per_digit = _digit_masks(n)
+    out = 0
+    while digits:
+        low = digits & -digits
+        out |= per_digit[low.bit_length() - 1]
+        digits ^= low
+    return out
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _generator_positions(n: int, mask: int) -> tuple[int, ...]:
-    """Positions of the atoms of `mask` minimal under digit-set inclusion."""
-    atoms = _atoms_for(n)
-    present = [i for i in range(2**n - 1) if mask >> i & 1]
-    digit_sets = {i: frozenset(atoms[i].digits) for i in present}
+    """Ascending positions of the atoms of `mask` minimal under digit-set inclusion.
+
+    `mask` must be convex (see the module docstring): then an atom is
+    minimal exactly when none of its one-digit-smaller subsets is present,
+    so the walk costs O(k·n) for k present atoms, whatever 2^n is.
+    """
+    bits, position = _atom_bits(n)
+    # present[i] is bit i of mask; a subset's position is always below its
+    # superset's (fewer digits come first), so it lies inside the string
+    present = bin(mask)[:1:-1]
     out = []
-    for i in present:
-        di = digit_sets[i]
-        if not any(digit_sets[j] < di for j in present if j != i):
+    i = present.find("1")
+    while i >= 0:
+        b = rest = bits[i]
+        while rest:
+            low = rest & -rest
+            if low != b and present[position[b ^ low]] == "1":
+                break
+            rest ^= low
+        else:
             out.append(i)
+        i = present.find("1", i + 1)
     return tuple(out)
 
 
@@ -137,10 +196,12 @@ class Frame:
 
 
 def build_frame(names: Iterable[str]) -> Frame:
-    """Validate singleton names and build a Frame."""
+    """Validate singleton names and build a Frame of at most FRAME_LIMIT singletons."""
     names = tuple(names)
     if not names:
         raise EmptyFrame("a frame needs at least one singleton name")
+    if len(names) > FRAME_LIMIT:
+        raise FrameTooLarge(f"a frame of {len(names)} singletons exceeds the limit {FRAME_LIMIT}")
     seen = set()
     for name in names:
         if not isinstance(name, str) or not _IDENT_RE.match(name):
@@ -219,7 +280,7 @@ def from_generators(frame: Frame, digit_sets: Iterable[Iterable[int]]) -> Propos
             raise IndexOutOfRange("a generator needs at least one digit")
         if digits[0] < 1 or digits[-1] > frame.n:
             raise IndexOutOfRange(f"digits {digits} out of range 1..{frame.n}")
-        mask |= _up_mask(frame.n, digits)
+        mask |= _up_mask(frame.n, sum(1 << (d - 1) for d in digits))
     return Proposition(frame, mask)
 
 
@@ -227,7 +288,7 @@ def singleton(frame: Frame, i: int) -> Proposition:
     """The i-th singleton (1-based) as a lattice element."""
     if not 1 <= i <= frame.n:
         raise IndexOutOfRange(f"singleton index {i} out of range 1..{frame.n}")
-    return Proposition(frame, _up_mask(frame.n, (i,)))
+    return Proposition(frame, _digit_masks(frame.n)[i - 1])
 
 
 def total_ignorance(frame: Frame) -> Proposition:
@@ -262,13 +323,11 @@ def u_of(p: Proposition) -> Proposition:
 
 def _u_mask(n: int, mask: int) -> int:
     """u() on atom bitsets: the union of every digit's singleton in mask's generators."""
-    atoms = _atoms_for(n)
-    per_digit = _digit_masks(n)
-    out = 0
+    bits = _atom_bits(n)[0]
+    digits = 0
     for pos in _generator_positions(n, mask):
-        for d in atoms[pos].digits:
-            out |= per_digit[d - 1]
-    return out
+        digits |= bits[pos]
+    return _singletons_union(n, digits)
 
 
 def enumerate_hpset(frame: Frame) -> list[Proposition]:
@@ -327,12 +386,14 @@ def to_expression(p: Proposition) -> str:
     """
     if p.is_empty:
         return "EMPTY"
-    gens = sorted(p.generators, key=lambda a: (-len(a.digits), a.digits))
+    digits = _atom_digits(p.frame.n)
+    gens = sorted((digits[i] for i in _generator_positions(p.frame.n, p.mask)),
+                  key=lambda g: (-len(g), g))
     names = p.frame.names
     parts = []
     for g in gens:
-        term = "&".join(names[d - 1] for d in g.digits)
-        if len(g.digits) >= 2 and len(gens) > 1:
+        term = "&".join(names[d - 1] for d in g)
+        if len(g) >= 2 and len(gens) > 1:
             term = f"({term})"
         parts.append(term)
     return "|".join(parts)

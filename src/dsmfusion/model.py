@@ -22,7 +22,9 @@ from .lattice import (
     Atom,
     Frame,
     Proposition,
+    _atom_bits,
     _generator_positions,
+    _singletons_union,
     _up_mask,
     conjoin,
     enumerate_hpset,
@@ -65,10 +67,10 @@ class HybridModel:
         if survivor_mask == 0:
             return Proposition(self.frame, 0)
         n = self.frame.n
+        bits = _atom_bits(n)[0]
         rep_mask = 0
-        all_atoms = self.frame.atoms()
         for pos in _generator_positions(n, survivor_mask):
-            rep_mask |= _up_mask(n, all_atoms[pos].digits)
+            rep_mask |= _up_mask(n, bits[pos])
         return Proposition(self.frame, rep_mask)
 
     def reduced_mask(self, p: Proposition) -> int:
@@ -111,8 +113,18 @@ def _shafer_constraint_mask(n: int) -> int:
     mask = 0
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            mask |= _up_mask(n, (i, j))
+            mask |= _up_mask(n, 1 << (i - 1) | 1 << (j - 1))
     return mask
+
+
+def _shafer_reduce(n: int, mask: int) -> int:
+    """reduce() under Shafer's model, on atom bitsets, without building the model.
+
+    Only the singleton atoms survive, and they sit at positions 0..n-1 with
+    the atom of digit d at d-1, so the survivors read as a digit bitset and
+    the representative is the union of those singletons.
+    """
+    return _singletons_union(n, mask & ~_shafer_constraint_mask(n))
 
 
 def shafer_model(frame: Frame) -> HybridModel:

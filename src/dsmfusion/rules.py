@@ -36,7 +36,7 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .lattice import Frame, Proposition, _u_mask, total_ignorance
-from .model import HybridModel, shafer_model
+from .model import HybridModel, _shafer_reduce
 
 #: CLI rule-selection strings.
 RULE_NAMES = ("dsmc", "dsmh", "dempster", "yager", "smets", "dubois-prade", "mixture")
@@ -146,15 +146,14 @@ def _conjunctive_power_set(ms: Sequence[MassAssignment]) -> tuple[dict, dict]:
     frame = _common_frame(ms)
     for m in ms:
         require_power_set(m)
-    shafer = shafer_model(frame)
     combined: dict[Proposition, list[float]] = {}
     conflicts: dict[Proposition, list[float]] = {}
     for (meet, join, _), mass in _fold(frame, ms).items():
-        reduced = shafer.reduce(Proposition(frame, meet))
-        if reduced.is_empty:
-            conflicts.setdefault(Proposition(frame, join), []).append(mass)
+        reduced = _shafer_reduce(frame.n, meet)
+        if reduced:
+            combined.setdefault(Proposition(frame, reduced), []).append(mass)
         else:
-            combined.setdefault(reduced, []).append(mass)
+            conflicts.setdefault(Proposition(frame, join), []).append(mass)
     return _fsums(combined), _fsums(conflicts)
 
 

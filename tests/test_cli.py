@@ -186,6 +186,8 @@ class TestCombine:
         pytest.param(dict(SCENARIO_AB, mixture=[{"probability": True}]), id="bool-probability"),
         pytest.param(dict(SCENARIO_AB, constraints=["(" * 2000 + "a&b" + ")" * 2000]),
                      id="deep-parens"),
+        pytest.param(dict(SCENARIO_AB, events=[{"add_elements": [f"c{i}" for i in range(17)]}]),
+                     id="frame-grows-too-large"),
     ])
     def test_malformed_scenarios_exit_2(self, scenario_file, doc):
         path = scenario_file(doc)

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsmfusion import (
+    FRAME_LIMIT,
+    HybridModel,
+    Proposition,
     build_frame,
     conjoin,
     disjoin,
@@ -24,6 +27,7 @@ from dsmfusion.errors import (
     IndexOutOfRange,
     InvalidIdentifier,
 )
+from dsmfusion.lattice import _digit_masks, _generator_positions
 
 
 def brute_force_up_set_count(n):
@@ -48,6 +52,15 @@ def brute_force_up_set_count(n):
     return count
 
 
+def oracle_generator_positions(n, mask):
+    """Independent oracle: scan every atom, keep those with no present proper subset."""
+    atoms = build_frame([f"t{i}" for i in range(1, n + 1)]).atoms()
+    present = [i for i in range(2**n - 1) if mask >> i & 1]
+    digit_sets = {i: frozenset(atoms[i].digits) for i in present}
+    return tuple(i for i in present
+                 if not any(digit_sets[j] < digit_sets[i] for j in present if j != i))
+
+
 class TestFrame:
     def test_build(self):
         f = build_frame(["t1", "t2", "t3"])
@@ -67,6 +80,12 @@ class TestFrame:
         with pytest.raises(InvalidIdentifier):
             build_frame(["ok", bad])
 
+    def test_frame_limit(self):
+        assert FRAME_LIMIT == 18
+        assert build_frame([f"t{i}" for i in range(1, 19)]).n == 18
+        with pytest.raises(FrameTooLarge):
+            build_frame([f"t{i}" for i in range(1, 20)])
+
 
 class TestAtoms:
     def test_universe_n3(self, frame3):
@@ -80,6 +99,12 @@ class TestAtoms:
     def test_universe_n4_count(self):
         f = build_frame(["a", "b", "c", "d"])
         assert len(f.atoms()) == 15
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_digit_masks(self, n):
+        atoms = build_frame([f"t{i}" for i in range(1, n + 1)]).atoms()
+        assert _digit_masks(n) == tuple(
+            sum(1 << pos for pos, a in enumerate(atoms) if d in a.digits) for d in range(1, n + 1))
 
 
 class TestBasicOps:
@@ -288,3 +313,29 @@ def test_canonical_uniqueness_and_u_props(data, n):
     u = u_of(p)
     assert u_of(u) == u
     assert leq(p, u)
+
+
+def _up_closed(frame):
+    """Random up-closed atom bitsets, as the up-closure of random digit sets."""
+    n = frame.n
+    return st.lists(st.sets(st.integers(1, n), min_size=1), max_size=4).map(
+        lambda gs: from_generators(frame, gs).mask)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_generator_extraction_matches_oracle(data, n):
+    frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+    p = data.draw(_up_closed(frame))
+    e = data.draw(_up_closed(frame))
+    survivors = p & ~e
+    assert _generator_positions(n, p) == oracle_generator_positions(n, p)
+    assert _generator_positions(n, survivors) == oracle_generator_positions(n, survivors)
+    atoms = frame.atoms()
+    digits = {d for i in oracle_generator_positions(n, p) for d in atoms[i].digits}
+    assert u_of(Proposition(frame, p)) == from_generators(frame, [(d,) for d in digits])
+    model = HybridModel(frame, (Proposition(frame, e),), e)
+    representative = from_generators(
+        frame, [atoms[i].digits for i in oracle_generator_positions(n, survivors)])
+    assert model.reduce(Proposition(frame, p)) == representative
+    assert _generator_positions.cache_info().maxsize is not None
