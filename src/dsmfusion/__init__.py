@@ -2,7 +2,9 @@
 
 Library layout:
 
-  lattice    canonical propositions (free distributive lattice) and u(X)
+  lattice    canonical propositions (free distributive lattice) and u(X);
+             an atom is a digit tuple for printing and a digit bitset for
+             arithmetic, and generators come out as digit tuples
   exprparse  expression grammar shared by the CLI and scenario files
   bba        mass assignments, belief and plausibility
   model      integrity constraints, equivalence classes, compression
@@ -25,7 +27,6 @@ from .dynamic import (
 )
 from .exprparse import parse, roundtrip
 from .lattice import (
-    Atom,
     ENUMERATION_LIMIT,
     FRAME_LIMIT,
     Frame,

@@ -12,7 +12,7 @@ from .errors import (
     NegativeMass,
     NotPowerSetSupport,
 )
-from .lattice import Frame, Proposition, disjoin, empty, leq, singleton, total_ignorance
+from .lattice import Frame, Proposition, _singletons_in, leq, total_ignorance
 
 #: Absolute tolerance on the unit-sum check at validation time.  Internal
 #: sums are never renormalized.
@@ -108,7 +108,7 @@ def vacuous(frame: Frame) -> MassAssignment:
 
 def is_power_set_element(p: Proposition) -> bool:
     """True when p is EMPTY or a union of singletons."""
-    return all(len(a.digits) == 1 for a in p.generators)
+    return p.mask == _singletons_in(p.frame.n, p.mask)
 
 
 def require_power_set(m: MassAssignment) -> None:
@@ -121,12 +121,8 @@ def complement(p: Proposition) -> Proposition:
     """Power-set complement: union of the singletons absent from p."""
     if not is_power_set_element(p):
         raise NotPowerSetSupport(f"{p} is not a union of singletons")
-    present = {a.digits[0] for a in p.generators}
-    out = empty(p.frame)
-    for i in range(1, p.frame.n + 1):
-        if i not in present:
-            out = disjoin(out, singleton(p.frame, i))
-    return out
+    # the singleton atoms absent from p are the low n bits of ~p.mask
+    return Proposition(p.frame, _singletons_in(p.frame.n, ~p.mask))
 
 
 def bel(m: MassAssignment, a: Proposition) -> float:
@@ -146,10 +142,5 @@ def pl(m: MassAssignment, a: Proposition) -> float:
         raise FrameMismatch("proposition is not on the assignment's frame")
     if not is_power_set_element(a):
         raise NotPowerSetSupport(f"{a} is not a union of singletons")
-    digits_a = {atom.digits[0] for atom in a.generators}
-    out = []
-    for p, v in m.focal:
-        digits_p = {atom.digits[0] for atom in p.generators}
-        if digits_p & digits_a:
-            out.append(v)
-    return fsum(out)
+    # p meets a in the power set when p & a keeps a singleton atom
+    return fsum(v for p, v in m.focal if _singletons_in(m.frame.n, p.mask & a.mask))

@@ -59,9 +59,16 @@ def _parse_mass(text) -> float:
         raise ScenarioError(f"bad decimal mass {text!r}") from exc
 
 
-def _string_list(obj: dict, key: str) -> tuple[str, ...]:
+def _list(obj: dict, key: str) -> list:
     value = obj.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, list):
+        raise ScenarioError(f"'{key}' must be a list: {value!r}")
+    return value
+
+
+def _string_list(obj: dict, key: str) -> tuple[str, ...]:
+    value = _list(obj, key)
+    if not all(isinstance(v, str) for v in value):
         raise ScenarioError(f"'{key}' must be a list of strings: {value!r}")
     return tuple(value)
 
@@ -72,7 +79,8 @@ def _load_scenario(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the parser's depth
         raise ScenarioError(f"scenario {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "frame" not in doc or "sources" not in doc:
         raise ScenarioError("scenario must be an object with 'frame' and 'sources'")
@@ -132,8 +140,11 @@ def cmd_hpset(args) -> int:
     constraints = []
     for item in args.constraints or []:
         if os.path.exists(item):
-            with open(item, "r", encoding="utf-8") as fh:
-                exprs = [ln.strip() for ln in fh if ln.strip()]
+            try:
+                with open(item, "r", encoding="utf-8") as fh:
+                    exprs = [ln.strip() for ln in fh if ln.strip()]
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ScenarioError(f"cannot read constraints file {item!r}: {exc}") from exc
         else:
             exprs = [item]
         constraints += [parse(frame, e) for e in exprs]
@@ -144,7 +155,7 @@ def cmd_hpset(args) -> int:
     _print(f"total classes: {len(classes)}")
     if args.matrix:
         basis, matrix = encoding_matrix(model)
-        _print("basis: " + " ".join(repr(a) for a in basis))
+        _print("basis: " + " ".join(f"<{''.join(map(str, digits))}>" for digits in basis))
         for row in matrix:
             _print(" ".join(str(x) for x in row))
     return 0
@@ -172,7 +183,7 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
         fn = {"yager": yager, "smets": smets, "dubois-prade": dubois_prade}[rule]
         result = fn(sources[0], sources[1])
     elif rule == "mixture":
-        entries = doc.get("mixture")
+        entries = _list(doc, "mixture")
         if not entries:
             raise ScenarioError("rule 'mixture' needs a 'mixture' list in the scenario")
         pairs = []
@@ -215,7 +226,7 @@ def cmd_combine(args) -> int:
     constraints = [parse(frame, e) for e in constraint_exprs]
     model = build_model(frame, constraints) if constraints else free_model(frame)
 
-    events = doc.get("events")
+    events = _list(doc, "events")
     if not events:
         return _combine_static(doc, frame, sources, model, args)
 

@@ -27,10 +27,7 @@ def embed_proposition(p: Proposition, new: Frame) -> Proposition:
     for name in old.names:
         if name not in new.names:
             raise MissingName(f"singleton {name!r} missing from the target frame")
-    digit_sets = []
-    for atom in p.generators:
-        digit_sets.append(tuple(new.index(old.names[d - 1]) for d in atom.digits))
-    return from_generators(new, digit_sets)
+    return from_generators(new, [[new.index(old.names[d - 1]) for d in g] for g in p.generators])
 
 
 def embed(m: MassAssignment, old: Frame, new: Frame) -> MassAssignment:

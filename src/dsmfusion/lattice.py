@@ -2,17 +2,21 @@
 
 The hyper-power set over a frame of n singletons is the free distributive
 lattice generated by the singletons under "&" (intersection) and "|" (union).
-Every element is stored canonically as an up-closed set of Venn atoms.  An
-atom is a non-empty subset of singleton indices, written by concatenating its
-digits ("13" is the minimal region common to singletons 1 and 3 and nothing
-else), and a proposition contains an atom exactly when the atom's index set
-is a superset of one of the proposition's generators.
+Every element is stored canonically as an up-closed set of Venn atoms, one
+bit per atom.  An atom is a non-empty subset of singleton indices and has
+two forms: its digit tuple, (1, 3), which prints as the Smarandache
+codification "13" (the minimal region common to singletons 1 and 3 and
+nothing else), and its digit bitset, with bit d-1 set for digit d, which the
+arithmetic uses.  A proposition contains an atom exactly when the atom's
+digits are a superset of one of the proposition's generators.
 
 Atom order is fixed (cardinality, then lexicographic digits) so bit
-positions, printed tables and encoding matrices are reproducible.
+positions, printed tables and encoding matrices are reproducible.  The
+singleton atoms come first: bit d-1 of a mask is the atom of digit d alone,
+so the low n bits of a mask are its singleton atoms.
 
 Generator extraction (`_generator_positions`, behind `generators`, `u_of`,
-`to_expression` and the model's `reduce`) requires a convex atom set: if
+`to_expression` and `_up_closure`) requires a convex atom set: if
 atoms a ⊂ b ⊂ c have a and c present, b is present too.  Every up-closed
 set is convex, and so is an up-closed set minus an up-closed set (the
 atoms of a proposition that survive a model), which covers every caller.
@@ -56,28 +60,6 @@ GENERATOR_CACHE_SIZE = 8192
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A Venn atom identified by the sorted tuple of singleton indices it lies in."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(sorted(set(self.digits))))
-
-    @property
-    def label(self) -> str:
-        """Digit codification, e.g. "13" for the atom inside singletons 1 and 3."""
-        return "".join(str(d) for d in self.digits)
-
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.digits), self.digits)
-
-    def __repr__(self) -> str:
-        return f"<{self.label}>"
-
-
 @lru_cache(maxsize=None)
 def _atom_digits(n: int) -> tuple[tuple[int, ...], ...]:
     """The digit tuple of every atom, in canonical order."""
@@ -96,12 +78,6 @@ def _atom_bits(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     bits = tuple(chain.from_iterable(map(sum, combinations(powers, size)) for size in range(1, n + 1)))
     # bits is a permutation of 1..2^n - 1, so sorting positions by bitset inverts it
     return bits, (0, *sorted(range(len(bits)), key=bits.__getitem__))
-
-
-@lru_cache(maxsize=None)
-def _atoms_for(n: int) -> tuple[Atom, ...]:
-    """All 2^n - 1 atoms of an n-singleton frame in canonical order."""
-    return tuple(Atom(digits) for digits in _atom_digits(n))
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +139,20 @@ def _generator_positions(n: int, mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _up_closure(n: int, mask: int) -> int:
+    """Smallest up-closed atom bitset containing a convex mask: its generators' up-closure."""
+    bits = _atom_bits(n)[0]
+    out = 0
+    for pos in _generator_positions(n, mask):
+        out |= _up_mask(n, bits[pos])
+    return out
+
+
+def _singletons_in(n: int, mask: int) -> int:
+    """Union of the singletons whose own atom lies in mask (the low n bits)."""
+    return _singletons_union(n, mask & ((1 << n) - 1))
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered frame of uniquely named singletons."""
@@ -180,9 +170,6 @@ class Frame:
     @property
     def full_mask(self) -> int:
         return (1 << self.atom_count) - 1
-
-    def atoms(self) -> tuple[Atom, ...]:
-        return _atoms_for(self.n)
 
     def index(self, name: str) -> int:
         """1-based position of a singleton name."""
@@ -236,15 +223,14 @@ class Proposition:
         return (self.mask.bit_count(), self.mask)
 
     @property
-    def generators(self) -> tuple[Atom, ...]:
-        """Antichain of minimal atoms; uniquely determines (and is determined by) the mask."""
-        atoms = _atoms_for(self.frame.n)
-        return tuple(atoms[i] for i in _generator_positions(self.frame.n, self.mask))
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Digit tuples of the minimal atoms, in atom order.
 
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        all_atoms = _atoms_for(self.frame.n)
-        return tuple(a for i, a in enumerate(all_atoms) if self.mask >> i & 1)
+        The antichain uniquely determines (and is determined by) the mask;
+        from_generators takes it back.
+        """
+        digits = _atom_digits(self.frame.n)
+        return tuple(digits[i] for i in _generator_positions(self.frame.n, self.mask))
 
     def __and__(self, other: "Proposition") -> "Proposition":
         return conjoin(self, other)
@@ -346,20 +332,14 @@ def enumerate_hpset(frame: Frame) -> list[Proposition]:
 @lru_cache(maxsize=None)
 def _up_closed_masks(n: int) -> tuple[int, ...]:
     """All up-closed atom bitsets, sorted by (popcount, value)."""
-    atoms = _atoms_for(n)
-    count = len(atoms)
+    digits = _atom_digits(n)
+    bits = _atom_bits(n)[0]
+    count = len(digits)
     # Visit atoms from largest to smallest digit set; an atom may join only
     # when all of its proper supersets are already in, which makes every
     # leaf of the walk up-closed and reaches each up-closed set once.
-    order = sorted(range(count), key=lambda i: (-len(atoms[i].digits), atoms[i].digits))
-    superset_mask = []
-    for i in order:
-        di = set(atoms[i].digits)
-        m = 0
-        for j in range(count):
-            if j != i and di < set(atoms[j].digits):
-                m |= 1 << j
-        superset_mask.append(m)
+    order = sorted(range(count), key=lambda i: (-len(digits[i]), digits[i]))
+    superset_mask = [_up_mask(n, bits[i]) & ~(1 << i) for i in order]
 
     results: list[int] = []
 

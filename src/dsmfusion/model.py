@@ -12,20 +12,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import fsum
 from typing import Iterable, Mapping
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MassOnEmptyClass, VacuousModel
 from .lattice import (
-    Atom,
     Frame,
     Proposition,
-    _atom_bits,
-    _generator_positions,
-    _singletons_union,
-    _up_mask,
+    _atom_digits,
+    _up_closure,
     conjoin,
     enumerate_hpset,
     singleton,
@@ -62,16 +58,7 @@ class HybridModel:
         lattice element with those surviving atoms (the up-closure of their
         minimal parts), so EMPTY represents the merged-empty class.
         """
-        self._check(p)
-        survivor_mask = p.mask & ~self.empty_mask
-        if survivor_mask == 0:
-            return Proposition(self.frame, 0)
-        n = self.frame.n
-        bits = _atom_bits(n)[0]
-        rep_mask = 0
-        for pos in _generator_positions(n, survivor_mask):
-            rep_mask |= _up_mask(n, bits[pos])
-        return Proposition(self.frame, rep_mask)
+        return Proposition(self.frame, _up_closure(self.frame.n, self.reduced_mask(p)))
 
     def reduced_mask(self, p: Proposition) -> int:
         """Surviving atoms of p; equal reduced masks mean model-equivalent."""
@@ -108,35 +95,18 @@ def free_model(frame: Frame) -> HybridModel:
     return HybridModel(frame, (), 0)
 
 
-@lru_cache(maxsize=None)
-def _shafer_constraint_mask(n: int) -> int:
-    mask = 0
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            mask |= _up_mask(n, 1 << (i - 1) | 1 << (j - 1))
-    return mask
-
-
-def _shafer_reduce(n: int, mask: int) -> int:
-    """reduce() under Shafer's model, on atom bitsets, without building the model.
-
-    Only the singleton atoms survive, and they sit at positions 0..n-1 with
-    the atom of digit d at d-1, so the survivors read as a digit bitset and
-    the representative is the union of those singletons.
-    """
-    return _singletons_union(n, mask & ~_shafer_constraint_mask(n))
-
-
 def shafer_model(frame: Frame) -> HybridModel:
-    """All pairwise exclusivity constraints; survivors form the power set."""
-    if frame.n == 1:
-        return free_model(frame)
+    """All pairwise exclusivity constraints; survivors form the power set.
+
+    Exactly the singleton atoms (the low n bits) survive, so reduce() under
+    this model is lattice._singletons_in.
+    """
     constraints = tuple(
         conjoin(singleton(frame, i), singleton(frame, j))
         for i in range(1, frame.n)
         for j in range(i + 1, frame.n + 1)
     )
-    return HybridModel(frame, constraints, _shafer_constraint_mask(frame.n))
+    return HybridModel(frame, constraints, frame.full_mask & ~((1 << frame.n) - 1))
 
 
 @dataclass(frozen=True)
@@ -176,16 +146,17 @@ def survivors(model: HybridModel) -> list[EquivClass]:
             for rep, members in _classes(model, entries)]
 
 
-def encoding_matrix(model: HybridModel) -> tuple[list[Atom], list[list[int]]]:
+def encoding_matrix(model: HybridModel) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Binary encoding of the surviving classes over the non-empty atoms.
 
-    The basis lists the unconstrained atoms in canonical order; each row is
-    one equivalence class (the merged-empty class gives the all-zero row),
-    with a 1 where the basis atom belongs to the class representative.
+    The basis lists the digit tuples of the unconstrained atoms in canonical
+    order; each row is one equivalence class (the merged-empty class gives
+    the all-zero row), with a 1 where the basis atom belongs to the class
+    representative.
     """
-    all_atoms = model.frame.atoms()
-    basis = [a for i, a in enumerate(all_atoms) if not model.empty_mask >> i & 1]
     positions = [i for i in range(model.frame.atom_count) if not model.empty_mask >> i & 1]
+    digits = _atom_digits(model.frame.n)
+    basis = [digits[i] for i in positions]
     matrix = []
     for cls in survivors(model):
         mask = cls.representative.mask

@@ -35,12 +35,12 @@ def breakdown_lines(
         lines = [f"{'element':{NAME_WIDTH}s} {'phi':>3s} {'S1':>9s} {'S2':>9s} {'S3':>9s} {'m':>9s}"]
     for p in props:
         s1, s2, s3 = bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0)
-        m = bd.total(p)
+        phi, m = bd.model.phi(p), bd.result[p]
         name = to_expression(p)
         if csv:
-            lines.append(f"{name},{bd.phi(p)},{s1:.6f},{s2:.6f},{s3:.6f},{m:.6f}")
+            lines.append(f"{name},{phi},{s1:.6f},{s2:.6f},{s3:.6f},{m:.6f}")
         else:
-            lines.append(f"{name:{NAME_WIDTH}s} {bd.phi(p):3d} {s1:9.6f} {s2:9.6f} {s3:9.6f} {m:9.6f}")
+            lines.append(f"{name:{NAME_WIDTH}s} {phi:3d} {s1:9.6f} {s2:9.6f} {s3:9.6f} {m:9.6f}")
     return lines
 
 
@@ -48,7 +48,7 @@ def column_totals(bd: HybridBreakdown, props: Sequence[Proposition]) -> str:
     """The row under a breakdown table: S1, S2, S3 and m summed over `props`."""
     cols = [0.0, 0.0, 0.0, 0.0]
     for p in props:
-        for i, v in enumerate((bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0), bd.total(p))):
+        for i, v in enumerate((bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0), bd.result[p])):
             cols[i] += v
     return f"{'(column totals)':{NAME_WIDTH}s}     " + " ".join(f"{c:9.6f}" for c in cols)
 

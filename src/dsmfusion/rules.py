@@ -35,8 +35,8 @@ from .errors import (
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
-from .lattice import Frame, Proposition, _u_mask, total_ignorance
-from .model import HybridModel, _shafer_reduce
+from .lattice import Frame, Proposition, _singletons_in, _u_mask, total_ignorance
+from .model import HybridModel
 
 #: CLI rule-selection strings.
 RULE_NAMES = ("dsmc", "dsmh", "dempster", "yager", "smets", "dubois-prade", "mixture")
@@ -94,15 +94,6 @@ class HybridBreakdown:
     s3: Mapping[Proposition, float]
     result: MassAssignment
 
-    def phi(self, p: Proposition) -> int:
-        return self.model.phi(p)
-
-    def total(self, p: Proposition) -> float:
-        """phi(p) * (S1 + S2 + S3)(p), the final mass of p."""
-        if self.model.is_empty(p):
-            return 0.0
-        return fsum((self.s1.get(p, 0.0), self.s2.get(p, 0.0), self.s3.get(p, 0.0)))
-
 
 def _hybrid_breakdown(frame: Frame, states: dict, model: HybridModel) -> HybridBreakdown:
     """Route the fold's states through S1, S2 and S3 under one model."""
@@ -149,7 +140,7 @@ def _conjunctive_power_set(ms: Sequence[MassAssignment]) -> tuple[dict, dict]:
     combined: dict[Proposition, list[float]] = {}
     conflicts: dict[Proposition, list[float]] = {}
     for (meet, join, _), mass in _fold(frame, ms).items():
-        reduced = _shafer_reduce(frame.n, meet)
+        reduced = _singletons_in(frame.n, meet)
         if reduced:
             combined.setdefault(Proposition(frame, reduced), []).append(mass)
         else:

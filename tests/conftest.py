@@ -15,6 +15,22 @@ def frame2():
     return build_frame(("t1", "t2"))
 
 
+def atom_digits(n):
+    """Every atom's digit tuple in canonical order (size, then digits), built independently."""
+    subsets = (tuple(d for d in range(1, n + 1) if b >> (d - 1) & 1) for b in range(1, 2**n))
+    return sorted(subsets, key=lambda digits: (len(digits), digits))
+
+
+def label(digits):
+    """Digit codification of an atom: (1, 3) -> "13"."""
+    return "".join(map(str, digits))
+
+
+def atom_labels(n, mask):
+    """Labels of the atoms in an atom bitset."""
+    return {label(digits) for i, digits in enumerate(atom_digits(n)) if mask >> i & 1}
+
+
 def p(frame, text):
     return parse(frame, text)
 

@@ -100,11 +100,11 @@ def test_criterion_3_hybrid_tables_m1_m4(frame3, ref_sources):
         elapsed = time.perf_counter() - start
         for expr, (phi_e, s1_e, s2_e, s3_e, m_e) in HYBRID_ROWS[key].items():
             p = empty(frame3) if expr == "EMPTY" else parse(frame3, expr)
-            assert bd.phi(p) == phi_e, (key, expr)
+            assert bd.model.phi(p) == phi_e, (key, expr)
             assert abs(bd.s1.get(p, 0.0) - s1_e) <= 1e-9, (key, expr)
             assert abs(bd.s2.get(p, 0.0) - s2_e) <= 1e-9, (key, expr)
             assert abs(bd.s3.get(p, 0.0) - s3_e) <= 1e-9, (key, expr)
-            assert abs(bd.total(p) - m_e) <= 1e-9, (key, expr)
+            assert abs(bd.result[p] - m_e) <= 1e-9, (key, expr)
         assert abs(fsum(bd.s3.values()) - S3_COLUMN_SUMS[key]) <= 1e-9
         assert elapsed < 1.0
     _ok(3, "M1-M4 phi/S1/S2/S3 rows and S3 sums 0.16/0.38/0.62/0.75 within 1e-9")
@@ -132,7 +132,7 @@ def test_criterion_5_general_bba_suite(frame3):
         model = _model(frame3, key)
         bd = dsm_hybrid(sources, model)
         for expr, expected in zip(ELEMENTS, GENERAL_UNCOMPRESSED_3[key]):
-            assert abs(bd.total(parse(frame3, expr)) - expected) <= 5e-5, (key, expr)
+            assert abs(bd.result[parse(frame3, expr)] - expected) <= 5e-5, (key, expr)
         out = compress(model, bd.result)
         for expr, expected in GENERAL_COMPRESSED_3[key].items():
             rep = model.reduce(parse(frame3, expr))

@@ -4,9 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from math import fsum, isfinite
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dsmfusion import RULE_NAMES, build_model, parse
+from dsmfusion import cli
 from dsmfusion.cli import main, sweep_rows
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -188,12 +194,26 @@ class TestCombine:
                      id="deep-parens"),
         pytest.param(dict(SCENARIO_AB, events=[{"add_elements": [f"c{i}" for i in range(17)]}]),
                      id="frame-grows-too-large"),
+        pytest.param(dict(SCENARIO_AB, events=5), id="events-not-list"),
+        pytest.param(dict(SCENARIO_AB, mixture=5), id="mixture-not-list"),
     ])
     def test_malformed_scenarios_exit_2(self, scenario_file, doc):
         path = scenario_file(doc)
         # dsmh, unlike dsmc, accepts constraints, so a misread one exits 0
         rule = "mixture" if "mixture" in doc else "dsmh"
         assert main(["combine", "--scenario", path, "--rule", rule]) == 2
+
+    def test_unreadable_files_exit_2(self, tmp_path):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(json.dumps(SCENARIO_AB).replace('"a"', '"\u00e1"').encode("latin-1"))
+        assert main(["combine", "--scenario", str(latin1), "--rule", "dsmh"]) == 2
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["combine", "--scenario", str(nested), "--rule", "dsmh"]) == 2
+        cons = tmp_path / "cons.txt"
+        cons.write_bytes("t1&t2\n\u00e1\n".encode("latin-1"))
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", str(cons)]) == 2
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", str(tmp_path)]) == 2
 
     def test_invalid_masses_exit_2(self, scenario_file):
         doc = {"frame": ["t1", "t2"],
@@ -350,3 +370,118 @@ class TestReproduce:
         res = run_cli("reproduce", "--example", "m6")
         assert res.returncode == 0
         assert "PASS m6" in res.stdout
+
+
+# --- scenario fuzzing: valid and broken pieces, every rule ---
+
+FUZZ_FRAME = ["a", "b", "c"]
+POWER_SET_PROPS = ["a", "b", "c", "a|b", "b|c", "a|b|c"]
+FUZZ_PROPS = POWER_SET_PROPS + ["a&b", "b&c", "(a&b)|c"]
+# the masses of one valid source, as decimal strings or JSON numbers
+FUZZ_SPLITS = [["1"], ["0.5", "0.5"], ["0.3", "0.7"], ["0.2", 0.3, "0.5"], [0.25] * 4]
+BAD_PROPS = st.sampled_from(["z", "a&", "", "EMPTY", 5, None])
+BAD_MASSES = st.sampled_from(["NaN", "Infinity", "-0.5", "1e308", 1e308, float("nan"), "x", True, None])
+WRONG_TYPE = st.sampled_from([5, "a&b", None, {"a": 1}, [5], True])
+FUZZ_BASE = {"frame": FUZZ_FRAME, "sources": [{"masses": [{"prop": "a", "mass": "1"}]}] * 2}
+
+
+def mostly(valid, broken):
+    """Draw from `valid`, and about one time in four from `broken`."""
+    return st.integers(0, 3).flatmap(lambda i: broken if i == 3 else valid)
+
+
+FUZZ_CONSTRAINTS = mostly(st.lists(st.sampled_from(["a&b", "c", "a&b&c", "b&c"]), max_size=2),
+                          WRONG_TYPE | st.just(["a|b|c"]) | st.just(["zz"]))
+
+
+@st.composite
+def fuzz_sources(draw, props):
+    split = draw(st.sampled_from(FUZZ_SPLITS))
+    chosen = draw(st.lists(st.sampled_from(props), min_size=len(split), max_size=len(split),
+                           unique=True))
+    rows = [{"prop": p, "mass": m} for p, m in zip(chosen, split)]
+    if draw(st.integers(0, 7)) == 7:
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row["prop"] = draw(BAD_PROPS)
+        else:
+            row["mass"] = draw(BAD_MASSES)
+    return {"masses": rows}
+
+
+@st.composite
+def fuzz_docs(draw):
+    """Scenario documents, mostly valid, each optional field of the right type or the wrong one."""
+    doc = {"frame": FUZZ_FRAME}
+    if draw(st.integers(0, 2)) == 2:
+        doc["smets_mode"] = draw(mostly(st.booleans(), WRONG_TYPE))
+    props = draw(st.sampled_from([POWER_SET_PROPS, FUZZ_PROPS]))
+    if doc.get("smets_mode") is True:
+        props = props + ["EMPTY"]
+    doc["sources"] = draw(mostly(st.lists(fuzz_sources(props), min_size=2, max_size=3),
+                                 st.lists(fuzz_sources(props), max_size=1)))
+    if draw(st.booleans()):
+        doc["constraints"] = draw(FUZZ_CONSTRAINTS)
+    if draw(st.integers(0, 3)) == 3:
+        event = st.fixed_dictionaries({}, optional={
+            "at": st.sampled_from(["late", 7]),
+            "add_elements": mostly(st.just(["d"]), WRONG_TYPE | st.just(["a"])),
+            "add_source": mostly(fuzz_sources(props), WRONG_TYPE),
+            "set_constraints": FUZZ_CONSTRAINTS,
+        })
+        doc["events"] = draw(mostly(st.lists(event, min_size=1, max_size=2), WRONG_TYPE))
+    if draw(st.booleans()):
+        entry = st.fixed_dictionaries({}, optional={"constraints": FUZZ_CONSTRAINTS})
+        probabilities = draw(st.sampled_from([["1"], ["0.5", "0.5"], ["0.3", 0.7]]))
+        entries = [dict(draw(entry), probability=p) for p in probabilities]
+        if draw(st.integers(0, 3)) == 3:
+            entries[0]["probability"] = draw(BAD_MASSES)
+        doc["mixture"] = draw(mostly(st.just(entries), WRONG_TYPE))
+    return doc
+
+
+def check_results(rule, doc, out, results):
+    """Finite, non-negative, unit-sum results with no mass where it cannot go."""
+    for line in out.splitlines():
+        if line and not line.startswith(("prop,", "conflict=", "# stage")):
+            value = float(line.rsplit(",", 1)[1])
+            assert isfinite(value) and value >= 0.0, line
+    assert results
+    for m in results:
+        assert abs(fsum(v for _, v in m.items()) - 1.0) <= 1e-9
+        if rule == "dsmh" and not doc.get("events"):
+            model = build_model(m.frame, [parse(m.frame, c) for c in doc.get("constraints", [])])
+            assert not any(model.is_empty(p) for p, v in m.items() if v > 0.0)
+        elif rule != "smets" and doc.get("smets_mode") is not True:
+            # only an open world keeps mass on EMPTY
+            assert not any(p.is_empty for p, v in m.items() if v > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=fuzz_docs(), corrupt=st.integers(0, 9).map(lambda i: i == 9))
+@example(doc=dict(FUZZ_BASE, events=5), corrupt=False)
+@example(doc=dict(FUZZ_BASE, mixture=5), corrupt=False)
+@example(doc=dict(FUZZ_BASE, constraints=["a&b"]), corrupt=True)
+def test_scenario_fuzz(tmp_path_factory, doc, corrupt):
+    # `corrupt` puts a byte that is not UTF-8 in front of both files
+    prefix = b"\xff" if corrupt else b""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    scenario = tmp / "scenario.json"
+    scenario.write_bytes(prefix + json.dumps(doc).encode("utf-8"))
+    constraints = doc.get("constraints", [])
+    lines = constraints if isinstance(constraints, list) else [constraints]
+    cons = tmp / "constraints.txt"
+    cons.write_bytes(prefix + "\n".join(map(str, lines)).encode("utf-8"))
+    # capsys is per test, not per example, so the printed lines are read from _print
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for rule in RULE_NAMES:
+            with mock.patch.object(cli, "mass_lines", wraps=cli.mass_lines) as spy, \
+                    mock.patch.object(cli, "_print") as printed:
+                code = main(["combine", "--scenario", str(scenario), "--rule", rule, "--out", "csv"])
+            assert code in (0, 2, 3), rule
+            if code == 0:
+                out = "\n".join(c.args[0] if c.args else "" for c in printed.call_args_list)
+                check_results(rule, doc, out, [c.args[0] for c in spy.call_args_list])
+        with mock.patch.object(cli, "_print"):
+            assert main(["hpset", "--frame", ",".join(FUZZ_FRAME), "--constraints", str(cons)]) in (0, 2)

@@ -15,7 +15,7 @@ from dsmfusion import (
     vacuous,
 )
 from dsmfusion.errors import FewerThanTwoSources, MissingName, RuleNotApplicable
-from conftest import assignment
+from conftest import assignment, atom_labels
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ class TestEmbed:
         p = parse(frame2, "t1&t2")
         q = embed_proposition(p, frame3)
         assert to_expression(q) == "t1&t2"
-        assert {a.label for a in q.atoms} == {"12", "123"}
+        assert atom_labels(q.frame.n, q.mask) == {"12", "123"}
 
     def test_vacuous_stays_old_union(self, frame2, frame3):
         v = embed(vacuous(frame2), frame2, frame3)

@@ -27,7 +27,8 @@ from dsmfusion.errors import (
     IndexOutOfRange,
     InvalidIdentifier,
 )
-from dsmfusion.lattice import _digit_masks, _generator_positions
+from dsmfusion.lattice import _atom_digits, _digit_masks, _generator_positions
+from conftest import atom_digits, atom_labels, label
 
 
 def brute_force_up_set_count(n):
@@ -54,9 +55,9 @@ def brute_force_up_set_count(n):
 
 def oracle_generator_positions(n, mask):
     """Independent oracle: scan every atom, keep those with no present proper subset."""
-    atoms = build_frame([f"t{i}" for i in range(1, n + 1)]).atoms()
+    atoms = atom_digits(n)
     present = [i for i in range(2**n - 1) if mask >> i & 1]
-    digit_sets = {i: frozenset(atoms[i].digits) for i in present}
+    digit_sets = {i: frozenset(atoms[i]) for i in present}
     return tuple(i for i in present
                  if not any(digit_sets[j] < digit_sets[i] for j in present if j != i))
 
@@ -89,36 +90,37 @@ class TestFrame:
 
 class TestAtoms:
     def test_universe_n3(self, frame3):
-        labels = [a.label for a in frame3.atoms()]
+        labels = [label(digits) for digits in _atom_digits(frame3.n)]
         assert labels == ["1", "2", "3", "12", "13", "23", "123"]
 
     def test_universe_n1(self):
         f = build_frame(["only"])
-        assert [a.label for a in f.atoms()] == ["1"]
+        assert [label(digits) for digits in _atom_digits(f.n)] == ["1"]
 
     def test_universe_n4_count(self):
         f = build_frame(["a", "b", "c", "d"])
-        assert len(f.atoms()) == 15
+        assert len(_atom_digits(f.n)) == f.atom_count == 15
 
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
     def test_digit_masks(self, n):
-        atoms = build_frame([f"t{i}" for i in range(1, n + 1)]).atoms()
+        atoms = _atom_digits(n)
+        assert list(atoms) == atom_digits(n)
         assert _digit_masks(n) == tuple(
-            sum(1 << pos for pos, a in enumerate(atoms) if d in a.digits) for d in range(1, n + 1))
+            sum(1 << pos for pos, a in enumerate(atoms) if d in a) for d in range(1, n + 1))
 
 
 class TestBasicOps:
     def test_singleton_upclosure(self, frame3):
         s1 = singleton(frame3, 1)
-        assert {a.label for a in s1.atoms} == {"1", "12", "13", "123"}
+        assert atom_labels(3, s1.mask) == {"1", "12", "13", "123"}
 
     def test_singleton_n1(self):
         f = build_frame(["x"])
-        assert {a.label for a in singleton(f, 1).atoms} == {"1"}
+        assert atom_labels(1, singleton(f, 1).mask) == {"1"}
 
     def test_singleton_n2(self):
         f = build_frame(["a", "b"])
-        assert {a.label for a in singleton(f, 2).atoms} == {"2", "12"}
+        assert atom_labels(2, singleton(f, 2).mask) == {"2", "12"}
 
     def test_singleton_out_of_range(self, frame3):
         with pytest.raises(IndexOutOfRange):
@@ -128,7 +130,7 @@ class TestBasicOps:
 
     def test_conjoin(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
-        assert {a.label for a in conjoin(t1, t2).atoms} == {"12", "123"}
+        assert atom_labels(3, conjoin(t1, t2).mask) == {"12", "123"}
 
     def test_conjoin_idempotent_annihilator(self, frame3):
         t1 = singleton(frame3, 1)
@@ -137,7 +139,7 @@ class TestBasicOps:
 
     def test_disjoin(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
-        assert {a.label for a in disjoin(t1, t2).atoms} == {"1", "2", "12", "13", "23", "123"}
+        assert atom_labels(3, disjoin(t1, t2).mask) == {"1", "2", "12", "13", "23", "123"}
 
     def test_disjoin_identity_absorption(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
@@ -200,29 +202,29 @@ class TestEnumeration:
 
     def test_upclosure_invariant(self):
         f = build_frame(["a", "b", "c", "d"])
-        atoms = f.atoms()
+        atoms = atom_digits(f.n)
         for prop in enumerate_hpset(f):
-            present = {a.digits for a in prop.atoms}
-            for a in prop.atoms:
+            present = {a for i, a in enumerate(atoms) if prop.mask >> i & 1}
+            for a in present:
                 for b in atoms:
-                    if set(a.digits) < set(b.digits):
-                        assert b.digits in present
+                    if set(a) < set(b):
+                        assert b in present
 
 
 class TestAntiAbsorption:
     def test_minimal_single_chain(self, frame3):
         x = from_generators(frame3, [(3,), (1, 3), (2, 3), (1, 2, 3)])
-        assert [a.label for a in x.generators] == ["3"]
+        assert x.generators == ((3,),)
         assert to_expression(u_of(x)) == "t3"
 
     def test_minimal_incomparable(self, frame3):
         x = from_generators(frame3, [(1, 3), (2, 3), (1, 2, 3)])
-        assert {a.label for a in x.generators} == {"13", "23"}
+        assert x.generators == ((1, 3), (2, 3))
         assert u_of(x) == total_ignorance(frame3)
 
     def test_minimal_top(self, frame3):
         x = from_generators(frame3, [(1, 2, 3)])
-        assert [a.label for a in x.generators] == ["123"]
+        assert x.generators == ((1, 2, 3),)
 
     def test_u_meet_join_agree(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
@@ -235,12 +237,12 @@ class TestAntiAbsorption:
 
     def test_u_23_123(self, frame3):
         x = from_generators(frame3, [(2, 3)])
-        assert {a.label for a in x.atoms} == {"23", "123"}
+        assert atom_labels(3, x.mask) == {"23", "123"}
         assert to_expression(u_of(x)) == "t2|t3"
 
     def test_u_chain_example(self, frame3):
         x = from_generators(frame3, [(1,)])
-        assert {a.label for a in x.atoms} == {"1", "12", "13", "123"}
+        assert atom_labels(3, x.mask) == {"1", "12", "13", "123"}
         # adding 23 gives atoms {1,12,13,23,123}: minimal parts {1},{23}
         y = disjoin(x, from_generators(frame3, [(2, 3)]))
         assert u_of(y) == total_ignorance(frame3)
@@ -253,14 +255,12 @@ class TestAntiAbsorption:
 
     def test_minimal_parts_reconstruct(self, frame3):
         for prop in enumerate_hpset(frame3):
-            gens = prop.generators
-            digit_sets = [set(a.digits) for a in gens]
+            digit_sets = [set(g) for g in prop.generators]
             for i, a in enumerate(digit_sets):
                 for j, b in enumerate(digit_sets):
                     if i != j:
                         assert not a < b and not b < a
-            rebuilt = from_generators(frame3, [a.digits for a in gens]) if gens else empty(frame3)
-            assert rebuilt == prop
+            assert from_generators(frame3, prop.generators) == prop
 
 
 class TestExpressions:
@@ -331,11 +331,11 @@ def test_generator_extraction_matches_oracle(data, n):
     survivors = p & ~e
     assert _generator_positions(n, p) == oracle_generator_positions(n, p)
     assert _generator_positions(n, survivors) == oracle_generator_positions(n, survivors)
-    atoms = frame.atoms()
-    digits = {d for i in oracle_generator_positions(n, p) for d in atoms[i].digits}
+    atoms = atom_digits(n)
+    digits = {d for i in oracle_generator_positions(n, p) for d in atoms[i]}
     assert u_of(Proposition(frame, p)) == from_generators(frame, [(d,) for d in digits])
     model = HybridModel(frame, (Proposition(frame, e),), e)
     representative = from_generators(
-        frame, [atoms[i].digits for i in oracle_generator_positions(n, survivors)])
+        frame, [atoms[i] for i in oracle_generator_positions(n, survivors)])
     assert model.reduce(Proposition(frame, p)) == representative
     assert _generator_positions.cache_info().maxsize is not None

@@ -3,7 +3,7 @@
 import random
 import warnings
 from itertools import product
-from math import fsum
+from math import fsum, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from dsmfusion import (
     enumerate_hpset,
     free_model,
     lefevre_combine,
+    leq,
     parse,
     shafer_model,
     singleton,
@@ -193,6 +194,21 @@ class TestClassicRule:
         folded = dsm_classic([dsm_classic(ms[:2]), ms[2]])
         assert all(abs(base[k] - folded[k]) <= 1e-12 for k in set(base.keys()) | set(folded.keys()))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_commonality_product(self, n):
+        # Third oracle: with q(A) the mass of every B >= A, the classic rule
+        # multiplies the sources' q, since A&B >= C exactly when A >= C and B >= C
+        frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+        rng = random.Random(n)
+        for k in (2, 3, 4):
+            ms = [random_bba(rng, frame) for _ in range(k)]
+            combined = dsm_classic(ms)
+            for a in enumerate_hpset(frame):
+                def q(m):
+                    return fsum(v for b, v in m.items() if leq(a, b))
+
+                assert q(combined) == pytest.approx(prod(q(m) for m in ms), abs=1e-12), (k, a)
+
     def test_matches_dense_oracle(self, frame3):
         # under the free model the hybrid oracle books every tuple on S1
         ms = [assignment(frame3, SOURCE_A), assignment(frame3, SOURCE_B)]
@@ -212,13 +228,13 @@ class TestHybridRule:
     def test_m1_anchor_rows(self, frame3, sources):
         bd = dsm_hybrid(sources, model_for(frame3, "t1&t2&t3"))
         p = parse(frame3, "(t1|t2)&t3")
-        assert bd.phi(p) == 1
+        assert bd.model.phi(p) == 1
         assert bd.s1[p] == pytest.approx(0.01, abs=1e-9)
         assert bd.s3[p] == pytest.approx(0.02, abs=1e-9)
-        assert bd.total(p) == pytest.approx(0.03, abs=1e-9)
+        assert bd.result[p] == pytest.approx(0.03, abs=1e-9)
         assert fsum(bd.s3.values()) == pytest.approx(0.16, abs=1e-9)
         gone = parse(frame3, "t1&t2&t3")
-        assert bd.phi(gone) == 0 and bd.s1[gone] == pytest.approx(0.16, abs=1e-9)
+        assert bd.model.phi(gone) == 0 and bd.s1[gone] == pytest.approx(0.16, abs=1e-9)
         assert bd.result[gone] == 0.0
 
     def test_m2_anchor_rows(self, frame3, sources):
@@ -226,7 +242,7 @@ class TestHybridRule:
         p = parse(frame3, "t1|t2")
         assert bd.s2[p] == pytest.approx(0.02, abs=1e-9)
         assert bd.s3[p] == pytest.approx(0.07, abs=1e-9)
-        assert bd.total(p) == pytest.approx(0.09, abs=1e-9)
+        assert bd.result[p] == pytest.approx(0.09, abs=1e-9)
         assert fsum(bd.s3.values()) == pytest.approx(0.38, abs=1e-9)
 
     def test_m4_compressed(self, frame3, sources):
@@ -246,7 +262,7 @@ class TestHybridRule:
                     "t2": 0.08, "(t1&t3)|t2": 0.01, "t1|t2": 0.15,
                     "t2|t3": 0.0, "t1|t2|t3": 0.04}
         for expr, v in expected.items():
-            assert bd.total(parse(frame3, expr)) == pytest.approx(v, abs=1e-9), expr
+            assert bd.result[parse(frame3, expr)] == pytest.approx(v, abs=1e-9), expr
 
     def test_m7_member_masses(self, frame3, sources):
         bd = dsm_hybrid(sources, model_for(frame3, "(t1&t2)|t3"))
@@ -254,7 +270,7 @@ class TestHybridRule:
                     "t1": 0.14, "(t2&t3)|t1": 0.04, "t1|t3": 0.25,
                     "t1|t2": 0.11, "t1|t2|t3": 0.22}
         for expr, v in expected.items():
-            assert bd.total(parse(frame3, expr)) == pytest.approx(v, abs=1e-9), expr
+            assert bd.result[parse(frame3, expr)] == pytest.approx(v, abs=1e-9), expr
 
     def test_free_model_equals_classic(self, frame3, sources):
         bd = dsm_hybrid(sources, free_model(frame3))
@@ -297,7 +313,7 @@ class TestHybridRule:
         for p in enumerate_hpset(frame3):
             if model.phi(p) == 1:
                 via_steps = classic[p] + bd.s2.get(p, 0.0) + bd.s3.get(p, 0.0)
-                assert bd.total(p) == pytest.approx(via_steps, abs=1e-12)
+                assert bd.result[p] == pytest.approx(via_steps, abs=1e-12)
 
     def test_shafer_support_is_power_set(self, frame3, sources):
         from dsmfusion.bba import is_power_set_element
