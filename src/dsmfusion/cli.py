@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from decimal import Decimal, InvalidOperation
+from functools import cache
 
 from .bba import MassAssignment
 from .dynamic import Stage, run_session
@@ -139,12 +139,13 @@ def cmd_hpset(args) -> int:
     frame = build_frame([s for s in args.frame.split(",") if s])
     constraints = []
     for item in args.constraints or []:
-        if os.path.exists(item):
+        # no identifier starts with "@", so a file spelled "@path" shadows no expression
+        if item.startswith("@"):
             try:
-                with open(item, "r", encoding="utf-8") as fh:
+                with open(item[1:], "r", encoding="utf-8") as fh:
                     exprs = [ln.strip() for ln in fh if ln.strip()]
             except (OSError, UnicodeDecodeError) as exc:
-                raise ScenarioError(f"cannot read constraints file {item!r}: {exc}") from exc
+                raise ScenarioError(f"cannot read constraints file {item[1:]!r}: {exc}") from exc
         else:
             exprs = [item]
         constraints += [parse(frame, e) for e in exprs]
@@ -288,8 +289,11 @@ def cmd_sweep(args) -> int:
                                cell(h1), cell(h2), cell(h12)]))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -303,6 +307,7 @@ def cmd_reproduce(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsmfusion",
@@ -313,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hpset", help="enumerate the constrained hyper-power set")
     p.add_argument("--frame", required=True, help="comma-separated singleton names")
     p.add_argument("--constraints", action="append",
-                   help="constraint expression, or a file with one per line (repeatable)")
+                   help="constraint expression, or @FILE with one per line (repeatable)")
     p.add_argument("--matrix", action="store_true", help="print basis and encoding matrix")
     p.set_defaults(fn=cmd_hpset)
 
@@ -338,8 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except FullContradiction as exc:

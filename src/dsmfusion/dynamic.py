@@ -1,24 +1,24 @@
 """Dynamic fusion: frame growth, staged sources and constraint changes.
 
-A session keeps the list of factor assignments rather than only the running
-combination, because a constraint arriving later must re-run the hybrid
-transfer over the factors' products.  When a new source arrives in a later
-stage, the factors accumulated so far are first collapsed into their classic
-combination (one factor), so the transfer afterwards works on the products
-of that sealed combination with the newcomers; constraint-only stages leave
-the factor list untouched.
+A session keeps the rules' (meet, join, ∪u) fold states of its sources, not
+their combination, because a constraint arriving later must re-route the
+same products through the hybrid transfer; a constraint-only stage does just
+that.  A new source first seals the states into their classic combination,
+then folds in.  Frame growth embeds each distinct mask of the states once;
+embedding commutes with meet, join and u().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MissingName, RuleNotApplicable
 from .exprparse import parse
 from .lattice import Frame, Proposition, build_frame, from_generators, to_expression
 from .model import build_model, compress, free_model
-from .rules import dsm_classic, dsm_hybrid
+from .rules import _classic_masses, _common_frame, _fold, _hybrid_breakdown, _map_states
 
 
 def embed_proposition(p: Proposition, new: Frame) -> Proposition:
@@ -70,9 +70,10 @@ class SessionResult:
 @dataclass
 class FusionSession:
     frame: Frame
-    factors: list[MassAssignment]
+    states: dict  # the rules' fold states of every source so far, on `frame`
     constraint_exprs: tuple[str, ...] = ()
     rule: str = "dsmh"
+    smets_mode: bool = False  # set once any source is open-world
     history: list[SessionResult] = field(default_factory=list)
     breakdowns: list = field(default_factory=list)
 
@@ -84,28 +85,24 @@ class FusionSession:
         constraints: tuple[str, ...] = (),
         rule: str = "dsmh",
     ) -> "FusionSession":
-        session = cls(frame, [], tuple(constraints), rule)
-        for src in sources:
-            session.factors.append(embed(src, src.frame, frame))
+        embedded = [embed(src, src.frame, frame) for src in sources]
+        states = _fold(_common_frame(embedded), embedded)
+        session = cls(frame, states, tuple(constraints), rule, any(m.smets_mode for m in sources))
         session._combine("t0")
         return session
 
-    def _active_model(self):
-        if not self.constraint_exprs:
-            return free_model(self.frame)
-        props = [parse(self.frame, text) for text in self.constraint_exprs]
-        return build_model(self.frame, props)
-
     def _combine(self, label: str) -> SessionResult:
-        model = self._active_model()
+        model = (build_model(self.frame, [parse(self.frame, c) for c in self.constraint_exprs])
+                 if self.constraint_exprs else free_model(self.frame))
         if self.rule == "dsmh":
-            breakdown = dsm_hybrid(self.factors, model)
+            breakdown = _hybrid_breakdown(self.frame, self.states, model)
             result = compress(model, breakdown.result)
             self.breakdowns.append(breakdown)
         elif self.rule == "dsmc":
             if not model.is_free:
                 raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
-            result = dsm_classic(self.factors)
+            masses = _classic_masses(self.frame, self.states)
+            result = MassAssignment(self.frame, masses, smets_mode=self.smets_mode)
         else:
             raise RuleNotApplicable(f"rule {self.rule!r} cannot drive a session")
         record = SessionResult(label, self.frame, result)
@@ -115,16 +112,13 @@ class FusionSession:
     def apply(self, stage: Stage) -> SessionResult:
         """Process one stage and record the recombined (compressed) result."""
         if stage.add_elements:
-            grown = build_frame(self.frame.names + tuple(stage.add_elements))
-            self.factors = [embed(f, self.frame, grown) for f in self.factors]
-            self.frame = grown
+            old, new = self.frame, build_frame(self.frame.names + tuple(stage.add_elements))
+            embed_mask = cache(lambda mask: embed_proposition(Proposition(old, mask), new).mask)
+            self.frame, self.states = new, _map_states(self.states, embed_mask)
         if stage.add_source is not None:
-            if self.history and len(self.factors) >= 2:
-                # Seal the previous epoch: later transfers work on the
-                # products of its combined mass with the new sources.
-                self.factors = [dsm_classic(self.factors)]
-            src = stage.add_source
-            self.factors.append(embed(src, src.frame, self.frame))
+            src = embed(stage.add_source, stage.add_source.frame, self.frame)
+            self.states = _fold(self.frame, [src], self.states)
+            self.smets_mode = self.smets_mode or src.smets_mode
         if stage.set_constraints is not None:
             self.constraint_exprs = tuple(stage.set_constraints)
         return self._combine(stage.at)

@@ -17,21 +17,12 @@ from typing import Iterable, Mapping
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MassOnEmptyClass, VacuousModel
-from .lattice import (
-    Frame,
-    Proposition,
-    _atom_digits,
-    _up_closure,
-    conjoin,
-    enumerate_hpset,
-    singleton,
-)
+from .lattice import Frame, Proposition, _atom_digits, _up_closure, enumerate_hpset
 
 
 @dataclass(frozen=True)
 class HybridModel:
     frame: Frame
-    constraints: tuple[Proposition, ...]
     empty_mask: int
 
     @property
@@ -73,7 +64,6 @@ def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel
     reason about).  A model with a single surviving atom is legal but
     degenerate, so it is flagged with a warning.
     """
-    constraints = tuple(constraints)
     empty_mask = 0
     for c in constraints:
         if c.frame != frame:
@@ -81,7 +71,7 @@ def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel
         empty_mask |= c.mask
     if empty_mask == frame.full_mask:
         raise VacuousModel("constraints empty the whole frame")
-    model = HybridModel(frame, constraints, empty_mask)
+    model = HybridModel(frame, empty_mask)
     if (frame.full_mask & ~empty_mask).bit_count() == 1:
         warnings.warn(
             "trivial model: a single atom survives, so only one non-empty "
@@ -92,7 +82,7 @@ def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel
 
 
 def free_model(frame: Frame) -> HybridModel:
-    return HybridModel(frame, (), 0)
+    return HybridModel(frame, 0)
 
 
 def shafer_model(frame: Frame) -> HybridModel:
@@ -101,12 +91,7 @@ def shafer_model(frame: Frame) -> HybridModel:
     Exactly the singleton atoms (the low n bits) survive, so reduce() under
     this model is lattice._singletons_in.
     """
-    constraints = tuple(
-        conjoin(singleton(frame, i), singleton(frame, j))
-        for i in range(1, frame.n)
-        for j in range(i + 1, frame.n + 1)
-    )
-    return HybridModel(frame, constraints, frame.full_mask & ~((1 << frame.n) - 1))
+    return HybridModel(frame, frame.full_mask & ~((1 << frame.n) - 1))
 
 
 @dataclass(frozen=True)

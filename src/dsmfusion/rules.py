@@ -56,10 +56,14 @@ def _fsums(table: dict) -> dict:
     return {key: fsum(vals) for key, vals in table.items()}
 
 
-def _fold(frame: Frame, ms: Sequence[MassAssignment]) -> dict[tuple[int, int, int], float]:
+def _fold(frame: Frame, ms: Sequence[MassAssignment], past: dict | None = None) -> dict:
     """Map each (meet, join, ∪u) state to the mass of the tuples reaching it, summed exactly."""
     n = frame.n
-    sources = [[(p.mask, value, _u_mask(n, p.mask)) for p, value in m.focal] for m in ms]
+    tables = [m.focal for m in ms]
+    if past is not None:
+        # an earlier fold's states enter sealed: their classic combination is the first source
+        tables.insert(0, _classic_masses(frame, past).items())
+    sources = [[(p.mask, value, _u_mask(n, p.mask)) for p, value in table] for table in tables]
     # the first source's focal sets are distinct, so each is a state of its own
     states = {(mask, mask, u): value for mask, value, u in sources[0]}
     for rows in sources[1:]:
@@ -71,16 +75,27 @@ def _fold(frame: Frame, ms: Sequence[MassAssignment]) -> dict[tuple[int, int, in
     return states
 
 
+def _classic_masses(frame: Frame, states: dict) -> dict[Proposition, float]:
+    """The classic rule on fold states: each state's mass on its meet."""
+    sums: dict[int, list[float]] = {}
+    for (meet, _, _), mass in states.items():
+        sums.setdefault(meet, []).append(mass)
+    return {Proposition(frame, mask): total for mask, total in _fsums(sums).items()}
+
+
+def _map_states(states: dict, embed_mask) -> dict:
+    """Carry states onto a larger frame; an embedding commutes with meet, join and u()."""
+    return {(embed_mask(meet), embed_mask(join), embed_mask(u)): mass
+            for (meet, join, u), mass in states.items()}
+
+
 def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     """Conjunctive combination on the free lattice; no normalization needed.
 
     Iterates over focal sets only.  Commutative and associative.
     """
     frame = _common_frame(ms)
-    sums: dict[int, list[float]] = {}
-    for (meet, _, _), mass in _fold(frame, ms).items():
-        sums.setdefault(meet, []).append(mass)
-    masses = {Proposition(frame, mask): total for mask, total in _fsums(sums).items()}
+    masses = _classic_masses(frame, _fold(frame, ms))
     return MassAssignment(frame, masses, smets_mode=any(m.smets_mode for m in ms))
 
 

@@ -106,9 +106,18 @@ class TestHpset:
     def test_constraints_file(self, capsys, tmp_path):
         path = tmp_path / "cons.txt"
         path.write_text("t1&t2\n\nt1&t3\n", encoding="utf-8")
-        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", str(path)]) == 0
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", f"@{path}"]) == 0
         out = capsys.readouterr().out
         assert "total classes:" in out
+
+    def test_expression_not_read_as_file(self, capsys, tmp_path, monkeypatch):
+        # a file named like an expression is read only when spelled "@t3"
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t3").write_text("t1&t2\n", encoding="utf-8")
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", "t3"]) == 0
+        assert "total classes: 5" in capsys.readouterr().out
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", "@t3"]) == 0
+        assert "total classes: 13" in capsys.readouterr().out
 
     def test_bad_expression_exit_2(self):
         res = run_cli("hpset", "--frame", "t1,t2", "--constraints", "t1 &")
@@ -212,8 +221,11 @@ class TestCombine:
         assert main(["combine", "--scenario", str(nested), "--rule", "dsmh"]) == 2
         cons = tmp_path / "cons.txt"
         cons.write_bytes("t1&t2\n\u00e1\n".encode("latin-1"))
-        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", str(cons)]) == 2
-        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", str(tmp_path)]) == 2
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", f"@{cons}"]) == 2
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", f"@{tmp_path}"]) == 2
+        assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", f"@{tmp_path / 'none'}"]) == 2
+        assert main(["sweep", "--epsilon-steps", "3", "--out", str(tmp_path / "none" / "s.csv")]) == 2
+        assert main(["sweep", "--epsilon-steps", "3", "--out", str(tmp_path)]) == 2
 
     def test_invalid_masses_exit_2(self, scenario_file):
         doc = {"frame": ["t1", "t2"],
@@ -282,6 +294,24 @@ class TestCombine:
         assert main(["combine", "--scenario", path, "--rule", "dsmc"]) == 0
         out = capsys.readouterr().out
         assert any(ln.startswith("EMPTY") and "0.100000" in ln for ln in out.splitlines())
+
+    def test_smets_mode_session_keeps_empty_mass(self, scenario_file, capsys):
+        # the late source is closed-world, but the sealed past keeps its mass on EMPTY
+        doc = {
+            "frame": ["t1", "t2"],
+            "smets_mode": True,
+            "sources": [
+                {"name": "a", "masses": [{"prop": "EMPTY", "mass": "0.2"},
+                                         {"prop": "t1", "mass": "0.8"}]},
+                {"name": "b", "masses": [{"prop": "t1|t2", "mass": "1.0"}]},
+            ],
+            "events": [{"at": "late", "add_elements": ["t3"], "add_source": {
+                "name": "c", "masses": [{"prop": "t1|t3", "mass": "1.0"}]}}],
+        }
+        path = scenario_file(doc)
+        assert main(["combine", "--scenario", path, "--rule", "dsmc", "--out", "csv"]) == 0
+        late = capsys.readouterr().out.split("# stage late")[1].splitlines()
+        assert "EMPTY,0.200000" in late and "t1,0.800000" in late
 
     def test_empty_mass_without_smets_mode_exit_2(self, scenario_file):
         doc = {
@@ -484,4 +514,4 @@ def test_scenario_fuzz(tmp_path_factory, doc, corrupt):
                 out = "\n".join(c.args[0] if c.args else "" for c in printed.call_args_list)
                 check_results(rule, doc, out, [c.args[0] for c in spy.call_args_list])
         with mock.patch.object(cli, "_print"):
-            assert main(["hpset", "--frame", ",".join(FUZZ_FRAME), "--constraints", str(cons)]) in (0, 2)
+            assert main(["hpset", "--frame", ",".join(FUZZ_FRAME), "--constraints", f"@{cons}"]) in (0, 2)

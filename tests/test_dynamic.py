@@ -1,21 +1,28 @@
 """Staged fusion: embedding, session recombination, restore checks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsmfusion import (
+    FusionSession,
     Stage,
     build_frame,
+    build_model,
+    compress,
     dsm_classic,
+    dsm_hybrid,
     embed,
     embed_proposition,
+    free_model,
     parse,
     restore_check,
     run_session,
     to_expression,
     vacuous,
 )
+from dsmfusion import dynamic
 from dsmfusion.errors import FewerThanTwoSources, MissingName, RuleNotApplicable
-from conftest import assignment, atom_labels
+from conftest import assignment, atom_labels, random_bba
 
 
 @pytest.fixture
@@ -169,3 +176,93 @@ class TestRestoreCheck:
                               [Stage(at="t1", add_elements=("x", "y", "z"), add_source=m3)])
         report = restore_check(session, ("x", "y", "z"))
         assert report.restored and "t0" in report.matches
+
+
+def oracle_session(frame, sources, stages, rule="dsmh", constraints=()):
+    """The factor-list session: keep the factor assignments and re-run the public rule per stage.
+
+    A new source first collapses the factors into their classic combination.
+    Returns the per-stage results and, under dsmh, the per-stage breakdowns.
+    """
+    factors = [embed(src, src.frame, frame) for src in sources]
+    results, breakdowns = [], []
+    for stage in [None, *stages]:
+        if stage is not None:
+            if stage.add_elements:
+                grown = build_frame(frame.names + tuple(stage.add_elements))
+                factors = [embed(f, frame, grown) for f in factors]
+                frame = grown
+            if stage.add_source is not None:
+                src = stage.add_source
+                factors = [dsm_classic(factors), embed(src, src.frame, frame)]
+            if stage.set_constraints is not None:
+                constraints = stage.set_constraints
+        model = (build_model(frame, [parse(frame, c) for c in constraints])
+                 if constraints else free_model(frame))
+        if rule == "dsmh":
+            breakdowns.append(dsm_hybrid(factors, model))
+            results.append(compress(model, breakdowns[-1].result))
+        else:
+            results.append(dsm_classic(factors))
+    return results, breakdowns
+
+
+def assert_same_table(got, want):
+    assert set(got.keys()) == set(want.keys())
+    for p in want.keys():
+        assert got[p] == pytest.approx(want[p], abs=1e-12)
+
+
+def _pair_constraints(data, frame):
+    pairs = [f"{a}&{b}" for i, a in enumerate(frame.names) for b in frame.names[i + 1:]]
+    return tuple(data.draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_session_matches_factor_list_oracle(data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    frame = build_frame([f"t{i}" for i in range(1, data.draw(st.integers(2, 3)) + 1)])
+    sources = [random_bba(rng, frame, max_focal=3) for _ in range(data.draw(st.integers(2, 3)))]
+    constraints = _pair_constraints(data, frame)
+    stages, names = [], frame.names
+    for k in range(data.draw(st.integers(1, 3))):
+        before = build_frame(names)
+        added = tuple(f"t{len(names) + j}" for j in range(1, data.draw(st.integers(0, 2)) + 1))
+        names += added
+        now = build_frame(names)
+        source = None
+        if data.draw(st.booleans()):
+            # a late source may still be stated on the frame it was elicited on
+            source = random_bba(rng, data.draw(st.sampled_from([before, now])), max_focal=3)
+        swap = _pair_constraints(data, now) if data.draw(st.booleans()) else None
+        stages.append(Stage(f"s{k}", added, source, swap))
+    for rule in ("dsmh", "dsmc"):
+        if rule == "dsmc":
+            constraints = ()
+            stages = [Stage(s.at, s.add_elements, s.add_source,
+                            None if s.set_constraints is None else ()) for s in stages]
+        session = run_session(frame, sources, stages, rule=rule, constraints=constraints)
+        results, breakdowns = oracle_session(frame, sources, stages, rule, constraints)
+        assert len(session.history) == len(results) == len(stages) + 1
+        for rec, want in zip(session.history, results):
+            assert_same_table(rec.result, want)
+        assert len(session.breakdowns) == len(breakdowns)
+        for got, want in zip(session.breakdowns, breakdowns):
+            for table in ("s1", "s2", "s3", "result"):
+                assert_same_table(getattr(got, table), getattr(want, table))
+
+
+def test_constraint_only_stage_folds_nothing(frame2, monkeypatch):
+    stage = Stage(at="t1", set_constraints=("t1&t2",))
+    session = FusionSession.start(frame2, dyn12_sources(frame2))
+    states = session.states
+
+    def no_fold(*args):
+        raise AssertionError("a constraint-only stage folded")
+
+    monkeypatch.setattr(dynamic, "_fold", no_fold)
+    session.apply(stage)
+    assert session.states is states
+    results, _ = oracle_session(frame2, dyn12_sources(frame2), [stage])
+    assert_same_table(session.current.result, results[-1])

@@ -334,7 +334,7 @@ def test_generator_extraction_matches_oracle(data, n):
     atoms = atom_digits(n)
     digits = {d for i in oracle_generator_positions(n, p) for d in atoms[i]}
     assert u_of(Proposition(frame, p)) == from_generators(frame, [(d,) for d in digits])
-    model = HybridModel(frame, (Proposition(frame, e),), e)
+    model = HybridModel(frame, e)
     representative = from_generators(
         frame, [atoms[i] for i in oracle_generator_positions(n, survivors)])
     assert model.reduce(Proposition(frame, p)) == representative
