@@ -4,11 +4,13 @@ Library layout:
 
   lattice    canonical propositions (free distributive lattice) and u(X);
              an atom is a digit tuple for printing and a digit bitset for
-             arithmetic, and generators come out as digit tuples
+             arithmetic, and generators come out as digit tuples; the
+             public Proposition constructor checks its mask
   exprparse  expression grammar shared by the CLI and scenario files
-  bba        mass assignments, belief and plausibility
+  bba        mass assignments (stored by atom bitset), belief, plausibility
   model      integrity constraints, equivalence classes, compression
-  rules      DSm classic/hybrid rules, DST baselines, Bayesian mixture
+  rules      DSm classic/hybrid rules, DST baselines, Bayesian mixture:
+             one fold over packed integer states, keyed per rule
   dynamic    staged fusion sessions with frame growth and re-constraining
   render     text and CSV tables shared by the CLI and the worked examples
   cli        command-line interface

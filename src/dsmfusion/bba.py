@@ -12,7 +12,7 @@ from .errors import (
     NegativeMass,
     NotPowerSetSupport,
 )
-from .lattice import Frame, Proposition, _singletons_in, leq, total_ignorance
+from .lattice import Frame, Proposition, _proposition, _singletons_in, leq, total_ignorance
 
 #: Absolute tolerance on the unit-sum check at validation time.  Internal
 #: sums are never renormalized.
@@ -26,6 +26,12 @@ class MassAssignment:
     mass.  Mass on EMPTY is rejected unless `smets_mode` is set (open-world
     assignments keep their conflict on EMPTY).  Instances are immutable
     after construction.
+
+    The masses are stored by atom bitset on the one frame, in canonical
+    order (atom count, then bitset).  Library code that already holds
+    masks builds instances through `_from_masks`, which runs the same
+    checks; `items()`, `keys()`, `focal` and `get()` are the Proposition
+    edge.
     """
 
     __slots__ = ("frame", "_masses", "smets_mode")
@@ -38,14 +44,24 @@ class MassAssignment:
     ):
         if isinstance(masses, Mapping):
             masses = masses.items()
-        collected: dict[Proposition, float] = {}
+        collected: dict[int, float] = {}
         for prop, value in masses:
             if prop.frame != frame:
                 raise FrameMismatch(f"mass key {prop!r} is not on frame {frame!r}")
-            collected[prop] = collected.get(prop, 0.0) + float(value)
-        ordered = sorted(collected.items(), key=lambda kv: kv[0].sort_key)
+            collected[prop.mask] = collected.get(prop.mask, 0.0) + float(value)
+        self._seal(frame, collected, smets_mode)
+
+    @classmethod
+    def _from_masks(cls, frame: Frame, masses: Mapping[int, float], smets_mode: bool = False):
+        """An assignment from masses keyed by atom bitsets of `frame`, validated."""
+        m = object.__new__(cls)
+        m._seal(frame, masses, smets_mode)
+        return m
+
+    def _seal(self, frame: Frame, masses: Mapping[int, float], smets_mode: bool) -> None:
+        ordered = sorted(masses.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_masses", {p: v for p, v in ordered if v != 0.0})
+        object.__setattr__(self, "_masses", {mask: v for mask, v in ordered if v != 0.0})
         object.__setattr__(self, "smets_mode", bool(smets_mode))
         self.validate()
 
@@ -54,9 +70,9 @@ class MassAssignment:
 
     def validate(self) -> bool:
         """Check the invariants, raising with the offending key on failure."""
-        for prop, value in self._masses.items():
+        for mask, value in self._masses.items():
             if value < 0:
-                raise NegativeMass(f"m({prop}) = {value!r} is negative")
+                raise NegativeMass(f"m({_proposition(self.frame, mask)}) = {value!r} is negative")
         for value in self._masses.values():
             # nan compares false with everything, so the sum check below
             # would pass it; a mass above one can overflow that sum
@@ -65,29 +81,31 @@ class MassAssignment:
         total = fsum(self._masses.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise MassSumNotOne(total)
-        if not self.smets_mode:
-            for prop, value in self._masses.items():
-                if prop.is_empty and value != 0.0:
-                    raise EmptySetMass(f"m(EMPTY) = {value!r} without smets_mode")
+        if not self.smets_mode and self._masses.get(0, 0.0) != 0.0:
+            raise EmptySetMass(f"m(EMPTY) = {self._masses[0]!r} without smets_mode")
         return True
 
     def __getitem__(self, prop: Proposition) -> float:
-        return self._masses.get(prop, 0.0)
+        return self.get(prop)
 
     def get(self, prop: Proposition, default: float = 0.0) -> float:
-        return self._masses.get(prop, default)
+        """The mass of prop; `default` when prop is no key, or lives on another frame."""
+        if prop.frame is self.frame or prop.frame == self.frame:
+            return self._masses.get(prop.mask, default)
+        return default
 
     def items(self) -> tuple[tuple[Proposition, float], ...]:
         """Entries in canonical proposition order."""
-        return tuple(self._masses.items())
+        frame = self.frame
+        return tuple((_proposition(frame, mask), v) for mask, v in self._masses.items())
 
     def keys(self) -> tuple[Proposition, ...]:
-        return tuple(self._masses.keys())
+        return tuple(_proposition(self.frame, mask) for mask in self._masses)
 
     @property
     def focal(self) -> tuple[tuple[Proposition, float], ...]:
-        """The focal sets: entries with strictly positive mass."""
-        return tuple((p, v) for p, v in self._masses.items() if v > 0.0)
+        """The focal sets: entries with strictly positive mass (every stored entry)."""
+        return self.items()
 
     @property
     def total(self) -> float:
@@ -97,7 +115,7 @@ class MassAssignment:
         return len(self._masses)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{p}: {v:.6g}" for p, v in self._masses.items())
+        inner = ", ".join(f"{p}: {v:.6g}" for p, v in self.items())
         return f"MassAssignment({{{inner}}})"
 
 
@@ -112,8 +130,9 @@ def is_power_set_element(p: Proposition) -> bool:
 
 
 def require_power_set(m: MassAssignment) -> None:
-    for prop, _ in m.focal:
-        if not is_power_set_element(prop):
+    for mask in m._masses:
+        if mask != _singletons_in(m.frame.n, mask):
+            prop = _proposition(m.frame, mask)
             raise NotPowerSetSupport(f"focal set {prop} is not a union of singletons")
 
 
@@ -122,7 +141,7 @@ def complement(p: Proposition) -> Proposition:
     if not is_power_set_element(p):
         raise NotPowerSetSupport(f"{p} is not a union of singletons")
     # the singleton atoms absent from p are the low n bits of ~p.mask
-    return Proposition(p.frame, _singletons_in(p.frame.n, ~p.mask))
+    return _proposition(p.frame, _singletons_in(p.frame.n, ~p.mask))
 
 
 def bel(m: MassAssignment, a: Proposition) -> float:

@@ -22,11 +22,11 @@ from decimal import Decimal, InvalidOperation
 from functools import cache
 
 from .bba import MassAssignment
-from .dynamic import Stage, run_session
+from .dynamic import _list, _string_list, run_session, stages_from
 from .errors import DsmError, FullContradiction, ScenarioError
 from .exprparse import parse
-from .lattice import ENUMERATION_LIMIT, Frame, Proposition, build_frame, enumerate_hpset
-from .model import build_model, encoding_matrix, free_model, shafer_model, survivors
+from .lattice import ENUMERATION_LIMIT, Frame, Proposition, build_frame, empty, enumerate_hpset
+from .model import build_model, encoding_matrix, shafer_model, survivors
 from .render import breakdown_lines, class_lines, compressed_lines, mass_lines
 from .rules import (
     MixtureSpec,
@@ -59,20 +59,6 @@ def _parse_mass(text) -> float:
         raise ScenarioError(f"bad decimal mass {text!r}") from exc
 
 
-def _list(obj: dict, key: str) -> list:
-    value = obj.get(key, [])
-    if not isinstance(value, list):
-        raise ScenarioError(f"'{key}' must be a list: {value!r}")
-    return value
-
-
-def _string_list(obj: dict, key: str) -> tuple[str, ...]:
-    value = _list(obj, key)
-    if not all(isinstance(v, str) for v in value):
-        raise ScenarioError(f"'{key}' must be a list of strings: {value!r}")
-    return tuple(value)
-
-
 def _load_scenario(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,31 +84,13 @@ def _source_from(obj: dict, frame: Frame, smets_mode: bool) -> MassAssignment:
         # The grammar has no EMPTY literal; scenario files spell it out so
         # open-world (smets_mode) sources can put mass on the empty set.
         if isinstance(text, str) and text.strip() == "EMPTY":
-            prop = Proposition(frame, 0)
+            prop = empty(frame)
         elif isinstance(text, str):
             prop = parse(frame, text)
         else:
             raise ScenarioError(f"'prop' must be an expression string: {text!r}")
         table[prop] = table.get(prop, 0.0) + _parse_mass(row["mass"])
     return MassAssignment(frame, table, smets_mode=smets_mode)
-
-
-def _stages_from(events: list, base_names: tuple[str, ...]) -> list[Stage]:
-    stages = []
-    names = base_names
-    for i, ev in enumerate(events):
-        if not isinstance(ev, dict):
-            raise ScenarioError(f"event #{i + 1} must be an object: {ev!r}")
-        label = str(ev.get("at", f"t{i + 1}"))
-        added = _string_list(ev, "add_elements")
-        names = names + added
-        source = None
-        if "add_source" in ev:
-            source = _source_from(ev["add_source"], build_frame(names), False)
-        constraints = _string_list(ev, "set_constraints") if "set_constraints" in ev else None
-        stages.append(Stage(at=label, add_elements=added,
-                            add_source=source, set_constraints=constraints))
-    return stages
 
 
 def _breakdown_rows(bd) -> list[Proposition]:
@@ -149,7 +117,7 @@ def cmd_hpset(args) -> int:
         else:
             exprs = [item]
         constraints += [parse(frame, e) for e in exprs]
-    model = build_model(frame, constraints) if constraints else free_model(frame)
+    model = build_model(frame, constraints)
     classes = survivors(model)
     for line in class_lines(classes):
         _print(line)
@@ -192,8 +160,7 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
             if not isinstance(ent, dict) or "probability" not in ent:
                 raise ScenarioError(f"mixture entries need a 'probability': {ent!r}")
             constraints = [parse(frame, e) for e in _string_list(ent, "constraints")]
-            mix_model = build_model(frame, constraints) if constraints else free_model(frame)
-            pairs.append((mix_model, _parse_mass(ent["probability"])))
+            pairs.append((build_model(frame, constraints), _parse_mass(ent["probability"])))
         result = bayesian_mixture(sources, MixtureSpec(tuple(pairs)))
         if args.compress:
             raise ScenarioError("--compress is undefined for 'mixture' (no single model)")
@@ -225,7 +192,7 @@ def cmd_combine(args) -> int:
     sources = [_source_from(s, frame, smets_mode) for s in doc["sources"]]
     constraint_exprs = _string_list(doc, "constraints")
     constraints = [parse(frame, e) for e in constraint_exprs]
-    model = build_model(frame, constraints) if constraints else free_model(frame)
+    model = build_model(frame, constraints)
 
     events = _list(doc, "events")
     if not events:
@@ -233,7 +200,7 @@ def cmd_combine(args) -> int:
 
     if args.rule not in ("dsmh", "dsmc"):
         raise ScenarioError("scenarios with events run under 'dsmh' or 'dsmc'")
-    stages = _stages_from(events, frame.names)
+    stages = stages_from(events, frame.names, lambda grown, obj: _source_from(obj, grown, False))
     session = run_session(frame, sources, stages, rule=args.rule,
                           constraints=constraint_exprs)
     csv = args.out == "csv"

@@ -1,24 +1,26 @@
 """Dynamic fusion: frame growth, staged sources and constraint changes.
 
-A session keeps the rules' (meet, join, ∪u) fold states of its sources, not
-their combination, because a constraint arriving later must re-route the
-same products through the hybrid transfer; a constraint-only stage does just
+A session keeps the rules' hybrid fold states of its sources, not their
+combination, because a constraint arriving later must re-route the same
+products through the hybrid transfer; a constraint-only stage does just
 that.  A new source first seals the states into their classic combination,
-then folds in.  Frame growth embeds each distinct mask of the states once;
-embedding commutes with meet, join and u().
+then folds in.  Frame growth appends names and carries the states over
+(`rules._map_states`), embedding each distinct mask once; embedding
+commutes with meet, join and u().  The states stay opaque here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Callable
 
 from .bba import MassAssignment
-from .errors import FrameMismatch, MissingName, RuleNotApplicable
+from .errors import FrameMismatch, MissingName, RuleNotApplicable, ScenarioError
 from .exprparse import parse
-from .lattice import Frame, Proposition, build_frame, from_generators, to_expression
-from .model import build_model, compress, free_model
-from .rules import _classic_masses, _common_frame, _fold, _hybrid_breakdown, _map_states
+from .lattice import Frame, Proposition, _proposition, build_frame, from_generators, to_expression
+from .model import build_model, compress
+from .rules import _classic_masses, _common_frame, _hybrid_breakdown, _hybrid_states, _map_states
 
 
 def embed_proposition(p: Proposition, new: Frame) -> Proposition:
@@ -57,6 +59,41 @@ class Stage:
     set_constraints: tuple[str, ...] | None = None
 
 
+def _list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"'{key}' must be a list: {value!r}")
+    return value
+
+
+def _string_list(obj: dict, key: str) -> tuple[str, ...]:
+    value = _list(obj, key)
+    if not all(isinstance(v, str) for v in value):
+        raise ScenarioError(f"'{key}' must be a list of strings: {value!r}")
+    return tuple(value)
+
+
+def stages_from(specs, names: tuple[str, ...],
+                source_of: Callable[[Frame, object], MassAssignment]) -> list[Stage]:
+    """Stages from stage dicts ("at", "add_elements", "add_source", "set_constraints").
+
+    `names` are the starting frame's singletons; each added source is built
+    by `source_of(frame, spec["add_source"])` on the frame grown so far.  A
+    missing "at" reads "t<position>".  Malformed dicts raise ScenarioError.
+    """
+    stages = []
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"event #{i + 1} must be an object: {spec!r}")
+        label = str(spec.get("at", f"t{i + 1}"))
+        added = _string_list(spec, "add_elements")
+        names = names + added
+        source = source_of(build_frame(names), spec["add_source"]) if "add_source" in spec else None
+        constraints = _string_list(spec, "set_constraints") if "set_constraints" in spec else None
+        stages.append(Stage(label, added, source, constraints))
+    return stages
+
+
 @dataclass
 class SessionResult:
     label: str
@@ -70,7 +107,7 @@ class SessionResult:
 @dataclass
 class FusionSession:
     frame: Frame
-    states: dict  # the rules' fold states of every source so far, on `frame`
+    states: dict  # the rules' hybrid fold states (packed ints) of every source so far
     constraint_exprs: tuple[str, ...] = ()
     rule: str = "dsmh"
     smets_mode: bool = False  # set once any source is open-world
@@ -86,14 +123,13 @@ class FusionSession:
         rule: str = "dsmh",
     ) -> "FusionSession":
         embedded = [embed(src, src.frame, frame) for src in sources]
-        states = _fold(_common_frame(embedded), embedded)
+        states = _hybrid_states(_common_frame(embedded), embedded)
         session = cls(frame, states, tuple(constraints), rule, any(m.smets_mode for m in sources))
         session._combine("t0")
         return session
 
     def _combine(self, label: str) -> SessionResult:
-        model = (build_model(self.frame, [parse(self.frame, c) for c in self.constraint_exprs])
-                 if self.constraint_exprs else free_model(self.frame))
+        model = build_model(self.frame, [parse(self.frame, c) for c in self.constraint_exprs])
         if self.rule == "dsmh":
             breakdown = _hybrid_breakdown(self.frame, self.states, model)
             result = compress(model, breakdown.result)
@@ -102,7 +138,7 @@ class FusionSession:
             if not model.is_free:
                 raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
             masses = _classic_masses(self.frame, self.states)
-            result = MassAssignment(self.frame, masses, smets_mode=self.smets_mode)
+            result = MassAssignment._from_masks(self.frame, masses, smets_mode=self.smets_mode)
         else:
             raise RuleNotApplicable(f"rule {self.rule!r} cannot drive a session")
         record = SessionResult(label, self.frame, result)
@@ -113,11 +149,11 @@ class FusionSession:
         """Process one stage and record the recombined (compressed) result."""
         if stage.add_elements:
             old, new = self.frame, build_frame(self.frame.names + tuple(stage.add_elements))
-            embed_mask = cache(lambda mask: embed_proposition(Proposition(old, mask), new).mask)
-            self.frame, self.states = new, _map_states(self.states, embed_mask)
+            embed_mask = cache(lambda mask: embed_proposition(_proposition(old, mask), new).mask)
+            self.frame, self.states = new, _map_states(self.states, old, new, embed_mask)
         if stage.add_source is not None:
             src = embed(stage.add_source, stage.add_source.frame, self.frame)
-            self.states = _fold(self.frame, [src], self.states)
+            self.states = _hybrid_states(self.frame, [src], self.states)
             self.smets_mode = self.smets_mode or src.smets_mode
         if stage.set_constraints is not None:
             self.constraint_exprs = tuple(stage.set_constraints)

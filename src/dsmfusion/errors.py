@@ -29,6 +29,10 @@ class FrameTooLarge(DsmError):
     pass
 
 
+class NotAnElement(DsmError):
+    """An atom bitset that is out of the frame's range or not up-closed."""
+
+
 class VacuousModel(DsmError):
     """Every atom of the frame was constrained away; no fusion problem remains."""
 

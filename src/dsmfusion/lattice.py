@@ -20,6 +20,12 @@ Generator extraction (`_generator_positions`, behind `generators`, `u_of`,
 atoms a ⊂ b ⊂ c have a and c present, b is present too.  Every up-closed
 set is convex, and so is an up-closed set minus an up-closed set (the
 atoms of a proposition that survive a model), which covers every caller.
+
+The public `Proposition(frame, mask)` checks that the mask is an element:
+in range and up-closed.  Library code, which only ever builds elements,
+goes through the unchecked `_proposition`.  u() is a union of singletons,
+so its digit set (`_u_digits`, the OR of the generators' digit bitsets)
+names it exactly; `_singletons_union` expands that to an atom bitset.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .errors import (
     FrameTooLarge,
     IndexOutOfRange,
     InvalidIdentifier,
+    NotAnElement,
 )
 
 #: Frames larger than this refuse to enumerate (the lattice grows like the
@@ -199,16 +206,31 @@ def build_frame(names: Iterable[str]) -> Frame:
     return Frame(names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Proposition:
     """An element of the hyper-power set: an up-closed set of atoms.
 
     Equality and hashing go through the atom bitset, which is the canonical
-    form; the generator antichain is derived from it on demand.
+    form; the generator antichain is derived from it on demand.  Raises
+    NotAnElement unless `mask` is an up-closed atom bitset of `frame`.
     """
 
     frame: Frame
     mask: int
+
+    def __post_init__(self):
+        mask = self.mask
+        if not (isinstance(mask, int) and 0 <= mask <= self.frame.full_mask
+                and _up_closure(self.frame.n, mask) == mask):
+            raise NotAnElement(f"{mask!r} is not an up-closed atom bitset of {self.frame!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Proposition:
+            return NotImplemented
+        return self.mask == other.mask and (self.frame is other.frame or self.frame == other.frame)
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
     @property
     def is_empty(self) -> bool:
@@ -248,13 +270,21 @@ class Proposition:
         return f"Proposition({to_expression(self)})"
 
 
+def _proposition(frame: Frame, mask: int) -> Proposition:
+    """Proposition without the element check, for masks the library built."""
+    p = object.__new__(Proposition)
+    object.__setattr__(p, "frame", frame)
+    object.__setattr__(p, "mask", mask)
+    return p
+
+
 def _check_same_frame(p: Proposition, q: Proposition) -> None:
     if p.frame != q.frame:
         raise FrameMismatch(f"propositions live on different frames: {p.frame} vs {q.frame}")
 
 
 def empty(frame: Frame) -> Proposition:
-    return Proposition(frame, 0)
+    return _proposition(frame, 0)
 
 
 def from_generators(frame: Frame, digit_sets: Iterable[Iterable[int]]) -> Proposition:
@@ -267,29 +297,29 @@ def from_generators(frame: Frame, digit_sets: Iterable[Iterable[int]]) -> Propos
         if digits[0] < 1 or digits[-1] > frame.n:
             raise IndexOutOfRange(f"digits {digits} out of range 1..{frame.n}")
         mask |= _up_mask(frame.n, sum(1 << (d - 1) for d in digits))
-    return Proposition(frame, mask)
+    return _proposition(frame, mask)
 
 
 def singleton(frame: Frame, i: int) -> Proposition:
     """The i-th singleton (1-based) as a lattice element."""
     if not 1 <= i <= frame.n:
         raise IndexOutOfRange(f"singleton index {i} out of range 1..{frame.n}")
-    return Proposition(frame, _digit_masks(frame.n)[i - 1])
+    return _proposition(frame, _digit_masks(frame.n)[i - 1])
 
 
 def total_ignorance(frame: Frame) -> Proposition:
     """The union of all singletons (every atom)."""
-    return Proposition(frame, frame.full_mask)
+    return _proposition(frame, frame.full_mask)
 
 
 def conjoin(p: Proposition, q: Proposition) -> Proposition:
     _check_same_frame(p, q)
-    return Proposition(p.frame, p.mask & q.mask)
+    return _proposition(p.frame, p.mask & q.mask)
 
 
 def disjoin(p: Proposition, q: Proposition) -> Proposition:
     _check_same_frame(p, q)
-    return Proposition(p.frame, p.mask | q.mask)
+    return _proposition(p.frame, p.mask | q.mask)
 
 
 def leq(p: Proposition, q: Proposition) -> bool:
@@ -304,16 +334,16 @@ def u_of(p: Proposition) -> Proposition:
     Computed from the minimal parts: every digit occurring in the
     anti-absorption residue contributes its singleton.  u(EMPTY) = EMPTY.
     """
-    return Proposition(p.frame, _u_mask(p.frame.n, p.mask))
+    return _proposition(p.frame, _singletons_union(p.frame.n, _u_digits(p.frame.n, p.mask)))
 
 
-def _u_mask(n: int, mask: int) -> int:
-    """u() on atom bitsets: the union of every digit's singleton in mask's generators."""
+def _u_digits(n: int, mask: int) -> int:
+    """u() as a digit bitset: the OR of the digit bitsets of mask's generators."""
     bits = _atom_bits(n)[0]
     digits = 0
     for pos in _generator_positions(n, mask):
         digits |= bits[pos]
-    return _singletons_union(n, digits)
+    return digits
 
 
 def enumerate_hpset(frame: Frame) -> list[Proposition]:
@@ -326,7 +356,7 @@ def enumerate_hpset(frame: Frame) -> list[Proposition]:
         raise FrameTooLarge(
             f"enumerating n={frame.n} exceeds the limit {ENUMERATION_LIMIT}"
         )
-    return [Proposition(frame, m) for m in _up_closed_masks(frame.n)]
+    return [_proposition(frame, m) for m in _up_closed_masks(frame.n)]
 
 
 @lru_cache(maxsize=None)

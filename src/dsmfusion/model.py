@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MassOnEmptyClass, VacuousModel
-from .lattice import Frame, Proposition, _atom_digits, _up_closure, enumerate_hpset
+from .lattice import Frame, Proposition, _atom_digits, _proposition, _up_closure, enumerate_hpset
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class HybridModel:
         lattice element with those surviving atoms (the up-closure of their
         minimal parts), so EMPTY represents the merged-empty class.
         """
-        return Proposition(self.frame, _up_closure(self.frame.n, self.reduced_mask(p)))
+        return _proposition(self.frame, _up_closure(self.frame.n, self.reduced_mask(p)))
 
     def reduced_mask(self, p: Proposition) -> int:
         """Surviving atoms of p; equal reduced masks mean model-equivalent."""
@@ -61,8 +61,9 @@ def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel
     """Derive the set of empty atoms from the declared constraints.
 
     Rejects the vacuous model (all atoms constrained away: nothing left to
-    reason about).  A model with a single surviving atom is legal but
-    degenerate, so it is flagged with a warning.
+    reason about).  Constraints that leave a single atom make a legal but
+    degenerate model, which is flagged with a warning; no constraints give
+    the free model, silently.
     """
     empty_mask = 0
     for c in constraints:
@@ -72,7 +73,7 @@ def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel
     if empty_mask == frame.full_mask:
         raise VacuousModel("constraints empty the whole frame")
     model = HybridModel(frame, empty_mask)
-    if (frame.full_mask & ~empty_mask).bit_count() == 1:
+    if empty_mask and (frame.full_mask & ~empty_mask).bit_count() == 1:
         warnings.warn(
             "trivial model: a single atom survives, so only one non-empty "
             "proposition remains",
@@ -100,22 +101,20 @@ class EquivClass:
     members: tuple[Proposition, ...]
 
 
-def _classes(
-    model: HybridModel, entries: Iterable[tuple[Proposition, float]]
-) -> list[tuple[Proposition, list[tuple[Proposition, float]]]]:
-    """Group (proposition, value) entries into model-equivalence classes.
+def _classes(model: HybridModel, entries: Iterable[tuple[int, object]]) -> list[tuple[int, list]]:
+    """Group items, each given with its surviving atoms, into model-equivalence classes.
 
-    Returns (representative, members) per class, classes ordered by their
-    surviving atom sets (count, then bitset value) and members in input
-    order.  The representative is reduced once per class.
+    Returns (representative mask, items) per class, classes ordered by their
+    surviving atom sets (count, then bitset value) and items in input order.
+    The representative is the up-closure of the surviving atoms, computed
+    once per class.
     """
-    groups: dict[int, list[tuple[Proposition, float]]] = {}
-    for prop, value in entries:
-        groups.setdefault(model.reduced_mask(prop), []).append((prop, value))
-    return [
-        (model.reduce(groups[reduced][0][0]), groups[reduced])
-        for reduced in sorted(groups, key=lambda m: (m.bit_count(), m))
-    ]
+    groups: dict[int, list] = {}
+    for reduced, item in entries:
+        groups.setdefault(reduced, []).append(item)
+    n = model.frame.n
+    return [(_up_closure(n, reduced), groups[reduced])
+            for reduced in sorted(groups, key=lambda m: (m.bit_count(), m))]
 
 
 def survivors(model: HybridModel) -> list[EquivClass]:
@@ -126,8 +125,8 @@ def survivors(model: HybridModel) -> list[EquivClass]:
     surviving atom sets (count, then bitset value); members come in
     canonical order.
     """
-    entries = ((p, 0.0) for p in enumerate_hpset(model.frame))
-    return [EquivClass(rep, tuple(p for p, _ in members))
+    entries = ((model.reduced_mask(p), p) for p in enumerate_hpset(model.frame))
+    return [EquivClass(_proposition(model.frame, rep), tuple(members))
             for rep, members in _classes(model, entries)]
 
 
@@ -158,14 +157,16 @@ def compress(model: HybridModel, m: MassAssignment) -> MassAssignment:
     """
     if m.frame != model.frame:
         raise FrameMismatch("assignment is not on the model's frame")
-    sums: dict[Proposition, float] = {}
-    for rep, members in _classes(model, m.items()):
-        if rep.is_empty:
-            for prop, value in members:
-                if value > 0.0:
-                    raise MassOnEmptyClass(f"mass {value!r} on {prop}, which is empty under the model")
+    alive = ~model.empty_mask
+    sums: dict[int, float] = {}
+    entries = ((mask & alive, (mask, v)) for mask, v in m._masses.items())
+    for rep, members in _classes(model, entries):
+        if not rep:
+            mask, value = members[0]
+            prop = _proposition(model.frame, mask)
+            raise MassOnEmptyClass(f"mass {value!r} on {prop}, which is empty under the model")
         sums[rep] = fsum(v for _, v in members)
-    return MassAssignment(model.frame, sums, smets_mode=m.smets_mode)
+    return MassAssignment._from_masks(model.frame, sums, smets_mode=m.smets_mode)
 
 
 def compression_report(
@@ -176,5 +177,6 @@ def compression_report(
     Members keep the order of the input mapping; classes come out in
     canonical order of their surviving atom sets.
     """
-    return [(rep, tuple(members), fsum(v for _, v in members))
-            for rep, members in _classes(model, masses.items())]
+    entries = ((model.reduced_mask(p), (p, v)) for p, v in masses.items())
+    return [(_proposition(model.frame, rep), tuple(members), fsum(v for _, v in members))
+            for rep, members in _classes(model, entries)]

@@ -1,31 +1,44 @@
 """Combination rules: DSm classic and hybrid, plus the DST family.
 
 Every rule reads one conjunctive fold over the sources' focal sets.  A
-tuple of focal elements matters only through its product mass and three
-associative masks: the free-lattice intersection (meet), the free-lattice
-union (join) and the union of the members' u() (∪u).  The fold takes the
-sources one at a time and keeps a map from (meet, join, ∪u) to mass, so
-its work tracks the distinct states rather than the number of tuples.
+tuple of focal elements matters only through its product mass and a few
+associative masks, which each rule packs into one integer state.  A rule
+turns every focal set into a row (a, o, value); the fold takes the sources
+one at a time, steps each state s to s & a | o with mass times value, and
+sums the mass reaching each state exactly (`fsum`).  Its work tracks the
+distinct states rather than the number of tuples.  The states per rule:
 
-The hybrid rule routes each state under the model:
+  * dsm_classic: the free-lattice intersection (meet), an atom bitset;
+  * dsm_hybrid, bayesian_mixture and sessions: meet | join << w |
+    ∪u << 2w, where w is the frame's atom count, join the free-lattice
+    union and ∪u the union of the members' u(), kept as a digit bitset
+    (the OR of the generators' digit bitsets, n bits);
+  * the DST rules: the AND of the focal sets' singleton digit sets, and
+    for dubois_prade also their OR above it (<< n).
+
+Only this module reads the packed states.  The hybrid rule routes each
+state under the model:
 
   * S1 books its mass on the meet (the classic rule);
   * S2, when the join (so every member) is empty under the model, books it
-    on ∪u (or on total ignorance when ∪u is itself empty);
+    on ∪u expanded to its singletons' union (or on total ignorance when
+    that is itself empty);
   * S3, when the meet is empty under the model, books it on the join.
 
 The three tables keep their entries on model-empty rows, so a breakdown
 can show where constrained mass sat before the transfer; the final mass
 gates every row by the characteristic emptiness function, which removes
 the overlap between the sums and makes the result add to one without any
-normalization.
+normalization.  Tables and results are keyed by atom bitset; Propositions
+are built where a caller reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum, isfinite
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bba import MassAssignment, require_power_set
 from .errors import (
@@ -35,7 +48,7 @@ from .errors import (
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
-from .lattice import Frame, Proposition, _singletons_in, _u_mask, total_ignorance
+from .lattice import Frame, Proposition, _proposition, _singletons_union, _u_digits, total_ignorance
 from .model import HybridModel
 
 #: CLI rule-selection strings.
@@ -56,37 +69,54 @@ def _fsums(table: dict) -> dict:
     return {key: fsum(vals) for key, vals in table.items()}
 
 
-def _fold(frame: Frame, ms: Sequence[MassAssignment], past: dict | None = None) -> dict:
-    """Map each (meet, join, ∪u) state to the mass of the tuples reaching it, summed exactly."""
-    n = frame.n
-    tables = [m.focal for m in ms]
-    if past is not None:
-        # an earlier fold's states enter sealed: their classic combination is the first source
-        tables.insert(0, _classic_masses(frame, past).items())
-    sources = [[(p.mask, value, _u_mask(n, p.mask)) for p, value in table] for table in tables]
-    # the first source's focal sets are distinct, so each is a state of its own
-    states = {(mask, mask, u): value for mask, value, u in sources[0]}
-    for rows in sources[1:]:
-        step: dict[tuple[int, int, int], list[float]] = {}
-        for (meet, join, u), mass in states.items():
-            for mask, value, u_mask in rows:
-                step.setdefault((meet & mask, join | mask, u | u_mask), []).append(mass * value)
+def _fold(start: int, sources: Iterable[list[tuple[int, int, float]]]) -> dict[int, float]:
+    """Fold sources of (a, o, value) rows into states: s becomes s & a | o, mass summed exactly."""
+    states = {start: 1.0}
+    for rows in sources:
+        step: dict[int, list[float]] = {}
+        for state, mass in states.items():
+            for a, o, value in rows:
+                step.setdefault(state & a | o, []).append(mass * value)
         states = _fsums(step)
     return states
 
 
-def _classic_masses(frame: Frame, states: dict) -> dict[Proposition, float]:
-    """The classic rule on fold states: each state's mass on its meet."""
+def _hybrid_states(frame: Frame, ms: Sequence[MassAssignment], past: dict | None = None) -> dict:
+    """Hybrid fold states of the sources, folded after an earlier fold's states if given.
+
+    A focal set steps the state by meet &= mask, join |= mask, ∪u |= the
+    digits of u(mask); the AND passes the join and ∪u fields through.
+    """
+    tables = [m._masses.items() for m in ms]
+    if past is not None:
+        # an earlier fold's states enter sealed: their classic combination is the first source
+        tables.insert(0, _classic_masses(frame, past).items())
+    n, w = frame.n, frame.atom_count
+    keep = ((1 << (w + n)) - 1) << w
+    return _fold(frame.full_mask, ([(mask | keep, mask << w | _u_digits(n, mask) << 2 * w, v)
+                                    for mask, v in table] for table in tables))
+
+
+def _classic_masses(frame: Frame, states: dict[int, float]) -> dict[int, float]:
+    """The classic rule on hybrid fold states: each state's mass on its meet."""
+    full = frame.full_mask
     sums: dict[int, list[float]] = {}
-    for (meet, _, _), mass in states.items():
-        sums.setdefault(meet, []).append(mass)
-    return {Proposition(frame, mask): total for mask, total in _fsums(sums).items()}
+    for state, mass in states.items():
+        sums.setdefault(state & full, []).append(mass)
+    return _fsums(sums)
 
 
-def _map_states(states: dict, embed_mask) -> dict:
-    """Carry states onto a larger frame; an embedding commutes with meet, join and u()."""
-    return {(embed_mask(meet), embed_mask(join), embed_mask(u)): mass
-            for (meet, join, u), mass in states.items()}
+def _map_states(states: dict, old: Frame, new: Frame, embed_mask) -> dict:
+    """Carry hybrid states onto a frame grown by appending names.
+
+    An embedding commutes with meet and join; ∪u's digits keep their
+    positions, since the old names keep theirs.
+    """
+    w_old, w_new = old.atom_count, new.atom_count
+    full = old.full_mask
+    return {embed_mask(s & full) | embed_mask(s >> w_old & full) << w_new
+            | (s >> 2 * w_old) << 2 * w_new: mass
+            for s, mass in states.items()}
 
 
 def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
@@ -95,39 +125,61 @@ def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     Iterates over focal sets only.  Commutative and associative.
     """
     frame = _common_frame(ms)
-    masses = _classic_masses(frame, _fold(frame, ms))
-    return MassAssignment(frame, masses, smets_mode=any(m.smets_mode for m in ms))
+    states = _fold(frame.full_mask, ([(mask, 0, v) for mask, v in m._masses.items()] for m in ms))
+    return MassAssignment._from_masks(frame, states, smets_mode=any(m.smets_mode for m in ms))
 
 
 @dataclass(frozen=True)
 class HybridBreakdown:
-    """Hybrid-rule output with the three transfer tables kept separate."""
+    """Hybrid-rule output with the three transfer tables kept separate.
+
+    The tables are kept by atom bitset; `s1`, `s2` and `s3` build their
+    Proposition-keyed maps on first read.
+    """
 
     model: HybridModel
-    s1: Mapping[Proposition, float]
-    s2: Mapping[Proposition, float]
-    s3: Mapping[Proposition, float]
     result: MassAssignment
+    _tables: tuple  # S1, S2, S3 by atom bitset
+
+    def _table(self, i: int) -> dict[Proposition, float]:
+        frame = self.model.frame
+        return {_proposition(frame, mask): v for mask, v in self._tables[i].items()}
+
+    s1 = cached_property(lambda self: self._table(0))
+    s2 = cached_property(lambda self: self._table(1))
+    s3 = cached_property(lambda self: self._table(2))
 
 
-def _hybrid_breakdown(frame: Frame, states: dict, model: HybridModel) -> HybridBreakdown:
-    """Route the fold's states through S1, S2 and S3 under one model."""
-    empty_mask = model.empty_mask
+def _route(frame: Frame, states: dict, model: HybridModel) -> tuple[tuple, dict]:
+    """Route the fold's states through S1, S2 and S3 under one model, by atom bitset.
+
+    Returns the three tables and the gated result: their sum on every key
+    that is not empty under the model.
+    """
+    n, w, full = frame.n, frame.atom_count, frame.full_mask
+    alive = full & ~model.empty_mask
     s1: dict[int, list[float]] = {}
     s2: dict[int, list[float]] = {}
     s3: dict[int, list[float]] = {}
-    for (meet, join, u), mass in states.items():
+    for state, mass in states.items():
+        meet = state & full
+        join = state >> w & full
         s1.setdefault(meet, []).append(mass)
-        if join & ~empty_mask == 0:
-            target = u if u & ~empty_mask else frame.full_mask
-            s2.setdefault(target, []).append(mass)
-        if meet & ~empty_mask == 0:
+        if not join & alive:
+            target = _singletons_union(n, state >> 2 * w)
+            s2.setdefault(target if target & alive else full, []).append(mass)
+        if not meet & alive:
             s3.setdefault(join, []).append(mass)
-    s1f, s2f, s3f = ({Proposition(frame, mask): total for mask, total in _fsums(table).items()}
-                     for table in (s1, s2, s3))
-    totals = {p: fsum((s1f.get(p, 0.0), s2f.get(p, 0.0), s3f.get(p, 0.0)))
-              for p in set(s1f) | set(s2f) | set(s3f) if not model.is_empty(p)}
-    return HybridBreakdown(model, s1f, s2f, s3f, MassAssignment(frame, totals))
+    s1, s2, s3 = _fsums(s1), _fsums(s2), _fsums(s3)
+    gated = {mask: fsum((s1.get(mask, 0.0), s2.get(mask, 0.0), s3.get(mask, 0.0)))
+             for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}
+    return (s1, s2, s3), gated
+
+
+def _hybrid_breakdown(frame: Frame, states: dict, model: HybridModel) -> HybridBreakdown:
+    """Route the fold's states under one model and gate the result."""
+    tables, gated = _route(frame, states, model)
+    return HybridBreakdown(model, MassAssignment._from_masks(frame, gated), tables)
 
 
 def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakdown:
@@ -139,28 +191,33 @@ def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakd
     frame = _common_frame(ms)
     if model.frame != frame:
         raise FrameMismatch("model frame differs from the sources' frame")
-    return _hybrid_breakdown(frame, _fold(frame, ms), model)
+    return _hybrid_breakdown(frame, _hybrid_states(frame, ms), model)
 
 
-def _conjunctive_power_set(ms: Sequence[MassAssignment]) -> tuple[dict, dict]:
-    """Shafer-model conjunctive combination of power-set assignments.
+def _conjunctive_power_set(ms: Sequence[MassAssignment], joins: bool = False) -> tuple[Frame, dict]:
+    """Shafer-model conjunctive fold of power-set assignments, keyed by digit sets.
 
-    Reduces each fold state's meet under Shafer's model.  Returns the
-    non-empty part keyed by the reduced meet, and the conflict keyed by the
-    join of the focal sets behind it (the Dubois-Prade target).
+    A power-set element is the union of the singletons named by its digit
+    set, the low n bits of its mask.  A state is the AND of the focal sets'
+    digit sets; with `joins` their OR sits above it (<< n), which is where
+    Dubois-Prade moves a conflicting product.  An AND of 0 is conflict.
+    Returns the sources' frame and the states.
     """
     frame = _common_frame(ms)
     for m in ms:
         require_power_set(m)
-    combined: dict[Proposition, list[float]] = {}
-    conflicts: dict[Proposition, list[float]] = {}
-    for (meet, join, _), mass in _fold(frame, ms).items():
-        reduced = _singletons_in(frame.n, meet)
-        if reduced:
-            combined.setdefault(Proposition(frame, reduced), []).append(mass)
-        else:
-            conflicts.setdefault(Proposition(frame, join), []).append(mass)
-    return _fsums(combined), _fsums(conflicts)
+    low = (1 << frame.n) - 1
+    above = low << frame.n if joins else 0
+    sources = ([(mask & low | above, (mask & low) << frame.n if joins else 0, v)
+                for mask, v in m._masses.items()] for m in ms)
+    return frame, _fold(low, sources)
+
+
+def _split_conflict(frame: Frame, states: dict[int, float]) -> tuple[dict, float]:
+    """DST fold states as (the non-conflicting masses by atom bitset, the conflict)."""
+    n = frame.n
+    combined = {_singletons_union(n, digits): mass for digits, mass in states.items() if digits}
+    return combined, states.get(0, 0.0)
 
 
 def dempster(ms: Sequence[MassAssignment]) -> tuple[MassAssignment, float]:
@@ -170,14 +227,15 @@ def dempster(ms: Sequence[MassAssignment]) -> tuple[MassAssignment, float]:
     conjunctive mass on EMPTY).  Raises FullContradiction when the conflict
     reaches 1 and the sum is undefined.
     """
-    combined, conflicts = _conjunctive_power_set(ms)
+    frame, states = _conjunctive_power_set(ms)
+    combined, conflict = _split_conflict(frame, states)
     # Normalize by the surviving mass rather than 1 - conflict; the two
     # agree exactly but the former avoids cancellation near conflict 1.
     surviving = fsum(combined.values())
-    if surviving <= 0.0 or fsum(conflicts.values()) >= 1.0:
+    if surviving <= 0.0 or conflict >= 1.0:
         raise FullContradiction("degree of conflict is 1; orthogonal sum undefined")
-    normalized = {p: v / surviving for p, v in combined.items()}
-    return MassAssignment(ms[0].frame, normalized), 1.0 - surviving
+    normalized = {mask: v / surviving for mask, v in combined.items()}
+    return MassAssignment._from_masks(frame, normalized), 1.0 - surviving
 
 
 def lefevre_combine(
@@ -197,20 +255,19 @@ def lefevre_combine(
     total_w = fsum(weights.values())
     if abs(total_w - 1.0) > 1e-9:
         raise WeightsNotNormalized(f"weights sum to {total_w!r}, expected 1")
-    combined, conflicts = _conjunctive_power_set([m1, m2])
-    conflict = fsum(conflicts.values())
-    out = dict(combined)
+    frame, states = _conjunctive_power_set([m1, m2])
+    out, conflict = _split_conflict(frame, states)
     empty_share = 0.0
     for prop, w in weights.items():
-        if prop.frame != m1.frame:
+        if prop.frame != frame:
             raise FrameMismatch("weight key is not on the sources' frame")
         if prop.is_empty:
             empty_share += w * conflict
         elif w != 0.0:
-            out[prop] = out.get(prop, 0.0) + w * conflict
+            out[prop.mask] = out.get(prop.mask, 0.0) + w * conflict
     if empty_share:
-        out[Proposition(m1.frame, 0)] = empty_share
-    return MassAssignment(m1.frame, out, smets_mode=empty_share > 0.0)
+        out[0] = empty_share
+    return MassAssignment._from_masks(frame, out, smets_mode=empty_share > 0.0)
 
 
 def yager(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
@@ -220,16 +277,18 @@ def yager(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
 
 def smets(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
     """All conflict stays on EMPTY (open world)."""
-    return lefevre_combine(m1, m2, {Proposition(m1.frame, 0): 1.0})
+    return lefevre_combine(m1, m2, {_proposition(m1.frame, 0): 1.0})
 
 
 def dubois_prade(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
     """Each conflicting product moves to the union of the pair that caused it."""
-    combined, conflicts = _conjunctive_power_set([m1, m2])
-    out = dict(combined)
-    for target, mass in conflicts.items():
-        out[target] = out.get(target, 0.0) + mass
-    return MassAssignment(m1.frame, out)
+    frame, states = _conjunctive_power_set([m1, m2], joins=True)
+    n, low = frame.n, (1 << frame.n) - 1
+    out: dict[int, list[float]] = {}
+    for state, mass in states.items():
+        # the AND of the digit sets, or their OR when it is empty
+        out.setdefault(_singletons_union(n, state & low or state >> n), []).append(mass)
+    return MassAssignment._from_masks(frame, _fsums(out))
 
 
 @dataclass(frozen=True)
@@ -265,9 +324,9 @@ def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAss
     frame = _common_frame(ms)
     if spec.entries[0][0].frame != frame:
         raise FrameMismatch("mixture models are not on the sources' frame")
-    states = _fold(frame, ms)
-    sums: dict[Proposition, list[float]] = {}
+    states = _hybrid_states(frame, ms)
+    sums: dict[int, list[float]] = {}
     for model, prob in spec.entries:
-        for prop, value in _hybrid_breakdown(frame, states, model).result.items():
-            sums.setdefault(prop, []).append(prob * value)
-    return MassAssignment(frame, _fsums(sums))
+        for mask, value in _route(frame, states, model)[1].items():
+            sums.setdefault(mask, []).append(prob * value)
+    return MassAssignment._from_masks(frame, _fsums(sums))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import fsum
 
 from .bba import MassAssignment
-from .dynamic import Stage, run_session
+from .dynamic import run_session, stages_from
 from .errors import FullContradiction
 from .exprparse import parse
 from .lattice import Frame, Proposition, build_frame, empty, to_expression
@@ -487,21 +487,7 @@ def _run_dynamic_example(key: str) -> ExampleReport:
     data = DYNAMIC_EXAMPLES[key]
     frame = build_frame(data["frame"])
     sources = [_assignment(frame, t) for t in data["sources"]]
-    stages = []
-    current_names = tuple(data["frame"])
-    for spec in data["stages"]:
-        added = tuple(spec.get("add_elements", ()))
-        current_names = current_names + added
-        src = None
-        if "add_source" in spec:
-            src_frame = build_frame(current_names)
-            src = _assignment(src_frame, spec["add_source"])
-        stages.append(Stage(
-            at=spec["at"],
-            add_elements=added,
-            add_source=src,
-            set_constraints=tuple(spec["set_constraints"]) if "set_constraints" in spec else None,
-        ))
+    stages = stages_from(data["stages"], frame.names, _assignment)
     session = run_session(frame, sources, stages)
     check = _Checker()
     lines: list[str] = []

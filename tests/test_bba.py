@@ -11,6 +11,7 @@ from dsmfusion import (
     build_frame,
     complement,
     dsm_classic,
+    empty,
     parse,
     pl,
     singleton,
@@ -143,3 +144,36 @@ def test_bel_le_pl_and_complement_identity(seed, n):
         a = s if a is None else (a | s)
     assert bel(m, a) <= pl(m, a) + 1e-12
     assert pl(m, a) == pytest.approx(1.0 - bel(m, complement(a)), abs=1e-12)
+
+
+class TestMaskStore:
+    def test_key_from_another_frame_reads_default(self, frame3):
+        other = build_frame(("a", "b", "c"))  # same atom bitsets, different frame
+        m = assignment(frame3, {"t1": 0.4, "t1|t2": 0.6})
+        key = parse(other, "a")
+        assert key.mask == parse(frame3, "t1").mask
+        assert m.get(key, 7.0) == 7.0
+        assert m[key] == 0.0
+        assert m.get(parse(frame3, "t1"), 7.0) == 0.4
+
+    def test_entries_in_canonical_order(self, frame3):
+        m = assignment(frame3, {"t1|t2|t3": 0.2, "t1": 0.3, "t1&t2": 0.5})
+        assert [p.sort_key for p in m.keys()] == sorted(p.sort_key for p in m.keys())
+        assert m.focal == m.items()
+        assert [v for _, v in m.items()] == [0.5, 0.3, 0.2]
+
+    @pytest.mark.parametrize("masses,smets_mode,error", [
+        # 64 is t1&t2&t3, 96 is t2&t3 and 127 total ignorance on frame3
+        ({64: 1.5, 96: -0.5}, False, NegativeMass),
+        ({64: float("nan")}, False, MassSumNotOne),
+        ({64: 0.5}, False, MassSumNotOne),
+        ({0: 0.1, 127: 0.9}, False, EmptySetMass),
+    ])
+    def test_trusted_constructor_validates(self, frame3, masses, smets_mode, error):
+        with pytest.raises(error):
+            MassAssignment._from_masks(frame3, masses, smets_mode)
+
+    def test_trusted_constructor_open_world(self, frame3):
+        m = MassAssignment._from_masks(frame3, {0: 0.1, 127: 0.8, 64: 0.1, 96: 0.0}, smets_mode=True)
+        assert m[empty(frame3)] == 0.1
+        assert len(m) == 3

@@ -261,7 +261,7 @@ def test_constraint_only_stage_folds_nothing(frame2, monkeypatch):
     def no_fold(*args):
         raise AssertionError("a constraint-only stage folded")
 
-    monkeypatch.setattr(dynamic, "_fold", no_fold)
+    monkeypatch.setattr(dynamic, "_hybrid_states", no_fold)
     session.apply(stage)
     assert session.states is states
     results, _ = oracle_session(frame2, dyn12_sources(frame2), [stage])

@@ -26,6 +26,7 @@ from dsmfusion.errors import (
     FrameTooLarge,
     IndexOutOfRange,
     InvalidIdentifier,
+    NotAnElement,
 )
 from dsmfusion.lattice import _atom_digits, _digit_masks, _generator_positions
 from conftest import atom_digits, atom_labels, label
@@ -339,3 +340,37 @@ def test_generator_extraction_matches_oracle(data, n):
         frame, [atoms[i] for i in oracle_generator_positions(n, survivors)])
     assert model.reduce(Proposition(frame, p)) == representative
     assert _generator_positions.cache_info().maxsize is not None
+
+
+class TestCheckedConstruction:
+    def test_not_up_closed_raises(self, frame3):
+        # atoms 1 and 123 without 12 and 13: once printed as (t1&t2&t3)|t1
+        with pytest.raises(NotAnElement):
+            Proposition(frame3, 1 | 1 << 6)
+
+    @pytest.mark.parametrize("mask", [-1, 2**7, 2**7 + 1])
+    def test_out_of_range_raises(self, frame3, mask):
+        with pytest.raises(NotAnElement):
+            Proposition(frame3, mask)
+
+    def test_elements_build(self, frame3):
+        for p in enumerate_hpset(frame3):
+            assert Proposition(frame3, p.mask) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_checked_construction_round_trips(data, n):
+    frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+    full = frame.full_mask
+    subsets = st.lists(st.sets(st.integers(1, n), min_size=1), max_size=3)
+    mask = data.draw(st.one_of(
+        st.integers(-2, full + 2),
+        subsets.map(lambda gens: from_generators(frame, gens).mask),
+    ))
+    try:
+        p = Proposition(frame, mask)
+    except NotAnElement:
+        return
+    assert from_generators(frame, p.generators) == p
+    assert from_generators(frame, p.generators).mask == mask

@@ -60,6 +60,16 @@ class TestBuildModel:
         assert m.is_free
         assert m.empty_mask == 0
 
+    def test_no_constraints_never_warns(self):
+        # one singleton leaves one atom, but no constraint removed anything
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for names in (["t1"], ["t1", "t2"]):
+                frame = build_frame(names)
+                assert build_model(frame, []) == free_model(frame)
+
 
 class TestPhi:
     def test_free_model(self, frame3):

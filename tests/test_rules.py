@@ -23,6 +23,7 @@ from dsmfusion import (
     empty,
     enumerate_hpset,
     free_model,
+    from_generators,
     lefevre_combine,
     leq,
     parse,
@@ -34,6 +35,7 @@ from dsmfusion import (
     vacuous,
     yager,
 )
+from dsmfusion import lattice, rules
 from dsmfusion.errors import (
     FewerThanTwoSources,
     FullContradiction,
@@ -570,3 +572,120 @@ def test_hybrid_random_invariants(seed, n, k):
         oracle = oracle_hybrid(ms, model)
         for p in set(bd.result.keys()) | set(oracle):
             assert bd.result[p] == pytest.approx(oracle.get(p, 0.0), abs=1e-12)
+
+
+def random_power_set_bba(rng, frame, max_focal=4):
+    """Random assignment over distinct unions of singletons, normalized to 1."""
+    props = []
+    while len(props) < rng.randint(1, max_focal):
+        digits = rng.sample(range(1, frame.n + 1), rng.randint(1, frame.n))
+        q = from_generators(frame, [(d,) for d in digits])
+        if q not in props:
+            props.append(q)
+    raw = [rng.random() + 0.05 for _ in props]
+    return MassAssignment(frame, {q: w / sum(raw) for q, w in zip(props, raw)})
+
+
+def oracle_dst(ms):
+    """Tuple walk over power-set focal sets, on digit sets read from the generators.
+
+    Returns the conjunctive masses keyed by the intersection, and the
+    conflict keyed by the union of the tuple (the Dubois-Prade target).
+    """
+    frame = ms[0].frame
+    combined, conflicts = {}, {}
+    for combo in product(*(m.focal for m in ms)):
+        mass = prod(v for _, v in combo)
+        digits = [{d for g in prop.generators for d in g} for prop, _ in combo]
+        inter = set.intersection(*digits)
+        if inter:
+            combined.setdefault(frozenset(inter), []).append(mass)
+        else:
+            conflicts.setdefault(frozenset(set.union(*digits)), []).append(mass)
+    return tuple({from_generators(frame, [(d,) for d in key]): fsum(vals) for key, vals in table.items()}
+                 for table in (combined, conflicts))
+
+
+def assert_same_masses(got, want):
+    """got (a MassAssignment or map) equals want key for key within 1e-12; zero entries dropped."""
+    want = {p: v for p, v in want.items() if v != 0.0}
+    got = dict(got.items())
+    assert set(got) == set(want)
+    for p, v in want.items():
+        assert got[p] == pytest.approx(v, abs=1e-12)
+
+
+def gated(model, tables):
+    return {p: fsum(t.get(p, 0.0) for t in tables)
+            for p in set().union(*tables) if not model.is_empty(p)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 4), k=st.integers(2, 4))
+def test_every_rule_matches_tuple_walk(seed, n, k):
+    rng = random.Random(seed)
+    frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+    ms = [random_bba(rng, frame) for _ in range(k)]
+    model, other = random_model(rng, frame), random_model(rng, frame)
+    tables = oracle_tuples(ms, model)
+
+    assert_same_masses(dsm_classic(ms), tables[0])
+    bd = dsm_hybrid(ms, model)
+    for got, want in zip((bd.s1, bd.s2, bd.s3), tables):
+        assert_same_masses(got, want)
+    assert_same_masses(bd.result, gated(model, tables))
+    prob = rng.choice([0.25, 0.5, 1.0])
+    mix = bayesian_mixture(ms, MixtureSpec(((model, prob), (other, 1.0 - prob))))
+    parts = [(prob, gated(model, tables)), (1.0 - prob, gated(other, oracle_tuples(ms, other)))]
+    keys = set().union(*(part for _, part in parts))
+    assert_same_masses(mix, {p: fsum(w * part.get(p, 0.0) for w, part in parts) for p in keys})
+
+    ps = [random_power_set_bba(rng, frame) for _ in range(k)]
+    combined, conflicts = oracle_dst(ps)
+    conflict = fsum(conflicts.values())
+    surviving = fsum(combined.values())
+    if surviving > 0.0:
+        result, got_conflict = dempster(ps)
+        assert got_conflict == pytest.approx(conflict, abs=1e-12)
+        assert_same_masses(result, {p: v / surviving for p, v in combined.items()})
+    else:
+        with pytest.raises(FullContradiction):
+            dempster(ps)
+    combined, conflicts = oracle_dst(ps[:2])
+    conflict = fsum(conflicts.values())
+    ti, nothing = total_ignorance(frame), empty(frame)
+    yager_want = dict(combined)
+    yager_want[ti] = yager_want.get(ti, 0.0) + conflict
+    assert_same_masses(yager(*ps[:2]), yager_want)
+    assert_same_masses(smets(*ps[:2]), {**combined, nothing: conflict})
+    dp_want = dict(combined)
+    for p, v in conflicts.items():
+        dp_want[p] = dp_want.get(p, 0.0) + v
+    assert_same_masses(dubois_prade(*ps[:2]), dp_want)
+    weights = {ti: 0.5, nothing: 0.25}
+    first = ps[0].keys()[0]
+    weights[first] = weights.get(first, 0.0) + 0.25
+    lefevre_want = dict(combined)
+    for p, w in weights.items():
+        lefevre_want[p] = lefevre_want.get(p, 0.0) + w * conflict
+    assert_same_masses(lefevre_combine(*ps[:2], weights), lefevre_want)
+
+
+def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
+    """Only the hybrid state reads ∪u, so only it extracts generators."""
+    ms = [assignment(frame3, SOURCE_A), assignment(frame3, SOURCE_B)]
+    ps = [assignment(frame3, {"t1": 0.3, "t2|t3": 0.7}), assignment(frame3, {"t2": 0.6, "t1|t3": 0.4})]
+
+    def no_generators(*args):
+        raise AssertionError("generators extracted")
+
+    monkeypatch.setattr(lattice, "_generator_positions", no_generators)
+    monkeypatch.setattr(rules, "_u_digits", no_generators)
+    dsm_classic(ms)
+    dempster(ps)
+    yager(*ps)
+    smets(*ps)
+    dubois_prade(*ps)
+    lefevre_combine(*ps, {total_ignorance(frame3): 1.0})
+    with pytest.raises(AssertionError, match="generators extracted"):
+        dsm_hybrid(ms, free_model(frame3))
