@@ -27,7 +27,7 @@ from .dynamic import (
     restore_check,
     run_session,
 )
-from .exprparse import parse, roundtrip
+from .exprparse import parse
 from .lattice import (
     ENUMERATION_LIMIT,
     FRAME_LIMIT,
@@ -51,7 +51,6 @@ from .model import (
     build_model,
     compress,
     encoding_matrix,
-    free_model,
     shafer_model,
     survivors,
 )

@@ -10,6 +10,7 @@ from .errors import (
     FrameMismatch,
     MassSumNotOne,
     NegativeMass,
+    NotAnElement,
     NotPowerSetSupport,
 )
 from .lattice import Frame, Proposition, _proposition, _singletons_in, leq, total_ignorance
@@ -46,6 +47,8 @@ class MassAssignment:
             masses = masses.items()
         collected: dict[int, float] = {}
         for prop, value in masses:
+            if not isinstance(prop, Proposition):
+                raise NotAnElement(f"mass key {prop!r} is not a Proposition")
             if prop.frame != frame:
                 raise FrameMismatch(f"mass key {prop!r} is not on frame {frame!r}")
             collected[prop.mask] = collected.get(prop.mask, 0.0) + float(value)

@@ -24,8 +24,8 @@ from functools import cache
 from .bba import MassAssignment
 from .dynamic import _list, _string_list, run_session, stages_from
 from .errors import DsmError, FullContradiction, ScenarioError
-from .exprparse import parse
-from .lattice import ENUMERATION_LIMIT, Frame, Proposition, build_frame, empty, enumerate_hpset
+from .exprparse import _parse_or_empty, parse
+from .lattice import ENUMERATION_LIMIT, Frame, Proposition, build_frame, enumerate_hpset
 from .model import build_model, encoding_matrix, shafer_model, survivors
 from .render import breakdown_lines, class_lines, compressed_lines, mass_lines
 from .rules import (
@@ -76,21 +76,17 @@ def _load_scenario(path: str) -> dict:
 def _source_from(obj: dict, frame: Frame, smets_mode: bool) -> MassAssignment:
     if not isinstance(obj, dict) or not isinstance(obj.get("masses"), list):
         raise ScenarioError("each source needs a 'masses' list")
-    table = {}
+    rows = []
     for row in obj["masses"]:
         if not isinstance(row, dict) or "prop" not in row or "mass" not in row:
             raise ScenarioError(f"mass rows need 'prop' and 'mass': {row!r}")
         text = row["prop"]
-        # The grammar has no EMPTY literal; scenario files spell it out so
-        # open-world (smets_mode) sources can put mass on the empty set.
-        if isinstance(text, str) and text.strip() == "EMPTY":
-            prop = empty(frame)
-        elif isinstance(text, str):
-            prop = parse(frame, text)
-        else:
+        if not isinstance(text, str):
             raise ScenarioError(f"'prop' must be an expression string: {text!r}")
-        table[prop] = table.get(prop, 0.0) + _parse_mass(row["mass"])
-    return MassAssignment(frame, table, smets_mode=smets_mode)
+        # "EMPTY" lets open-world (smets_mode) sources put mass on the empty set
+        rows.append((_parse_or_empty(frame, text), _parse_mass(row["mass"])))
+    # MassAssignment sums the masses of repeated keys in row order
+    return MassAssignment(frame, rows, smets_mode=smets_mode)
 
 
 def _breakdown_rows(bd) -> list[Proposition]:

@@ -30,7 +30,11 @@ class FrameTooLarge(DsmError):
 
 
 class NotAnElement(DsmError):
-    """An atom bitset that is out of the frame's range or not up-closed."""
+    """Not an element of a frame's hyper-power set.
+
+    An atom bitset that is out of the frame's range or not up-closed, or a
+    mass key that is not a Proposition.
+    """
 
 
 class VacuousModel(DsmError):

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for proposition expressions.
+"""Parser for proposition expressions.
 
 Grammar (whitespace insignificant, "&" binds tighter than "|", both
 left-associative):
@@ -8,134 +8,92 @@ left-associative):
     factor := ident | '(' expr ')'
 
 Identifiers must name frame singletons.  The Unicode set operators are
-accepted as aliases for the ASCII ones.  Errors carry the byte offset of the
-offending input.  There is deliberately no complement operator: the
-hyper-power set is not a Boolean lattice.
+accepted as aliases for the ASCII ones.  There is deliberately no complement
+operator: the hyper-power set is not a Boolean lattice.
+
+Parsing works on atom bitsets: a singleton is its row of the lattice's digit
+masks, "&" and "|" are AND and OR of bitsets, and one Proposition is built
+at the end.  The whole input is scanned into tokens first, so a bad
+character is reported ahead of an earlier unknown name.  One left-to-right
+pass over the tokens then keeps, per open parenthesis, the OR of the
+finished terms and the AND of the current one; it neither recurses nor
+builds closures, so a parse leaves no reference cycles behind.  Errors carry
+the byte offset of the offending input in its UTF-8 encoding, worked out
+only when an error is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import EmptyExpression, ExprSyntaxError, UnknownIdentifier
-from .lattice import Frame, Proposition, conjoin, disjoin, empty, singleton, to_expression
+from .lattice import Frame, Proposition, _digit_masks, _proposition, empty
 
+# \w and \s follow str.isalnum (plus "_") and str.isspace, character for character
+_TOKEN = re.compile(r"\w+|\S")
 _ALIASES = {"∩": "&", "∪": "|"}
+# Operators and parentheses; the end of input is the empty token.
+_PUNCTUATION = frozenset(("&", "|", "(", ")", ""))
 
-# Deepest parenthesis nesting accepted; the parser recurses once per level.
+# Deepest parenthesis nesting accepted.
 _MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class ExprToken:
-    kind: str  # ident | amp | pipe | lparen | rparen | end
-    text: str
-    position: int  # byte offset into the utf-8 input
+def _byte(text: str, i: int) -> int:
+    """Byte offset of character i in the UTF-8 encoding of text."""
+    return len(text[:i].encode("utf-8"))
 
 
-def tokenize(text: str) -> list[ExprToken]:
-    tokens: list[ExprToken] = []
-    i = 0
-    byte_pos = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            byte_pos += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        op = _ALIASES.get(ch, ch)
-        if op == "&":
-            tokens.append(ExprToken("amp", ch, byte_pos))
-        elif op == "|":
-            tokens.append(ExprToken("pipe", ch, byte_pos))
-        elif op == "(":
-            tokens.append(ExprToken("lparen", ch, byte_pos))
-        elif op == ")":
-            tokens.append(ExprToken("rparen", ch, byte_pos))
-        elif ch.isalpha() or ch == "_":
-            start_byte = byte_pos
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(ExprToken("ident", word, start_byte))
-            byte_pos += len(word.encode("utf-8"))
-            i = j
-            continue
-        else:
-            raise ExprSyntaxError(byte_pos, f"identifier, '(', '&' or '|', not {ch!r}")
-        byte_pos += len(ch.encode("utf-8"))
-        i += 1
-    tokens.append(ExprToken("end", "", byte_pos))
+def _scan(text: str) -> list[tuple[str, int]]:
+    """(token, character offset) pairs, operators in ASCII, then ("", len(text))."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        tok, i = _ALIASES.get(match[0], match[0]), match.start()
+        if tok not in _PUNCTUATION and not (tok[0].isalpha() or tok[0] == "_"):
+            raise ExprSyntaxError(_byte(text, i), f"identifier, '(', '&' or '|', not {tok[0]!r}")
+        tokens.append((tok, i))
+    tokens.append(("", len(text)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, frame: Frame, tokens: list[ExprToken]):
-        self.frame = frame
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> ExprToken:
-        return self.tokens[self.pos]
-
-    def advance(self) -> ExprToken:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expr(self) -> Proposition:
-        node = self.term()
-        while self.peek().kind == "pipe":
-            self.advance()
-            node = disjoin(node, self.term())
-        return node
-
-    def term(self) -> Proposition:
-        node = self.factor()
-        while self.peek().kind == "amp":
-            self.advance()
-            node = conjoin(node, self.factor())
-        return node
-
-    def factor(self) -> Proposition:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text not in self.frame.names:
-                raise UnknownIdentifier(tok.text, tok.position)
-            return singleton(self.frame, self.frame.index(tok.text))
-        if tok.kind == "lparen":
-            if self.depth == _MAX_NESTING:
-                raise ExprSyntaxError(tok.position, f"at most {_MAX_NESTING} nested parentheses")
-            self.advance()
-            self.depth += 1
-            node = self.expr()
-            self.depth -= 1
-            closing = self.peek()
-            if closing.kind != "rparen":
-                raise ExprSyntaxError(closing.position, "')'")
-            self.advance()
-            return node
-        raise ExprSyntaxError(tok.position, "identifier or '('")
 
 
 def parse(frame: Frame, text: str) -> Proposition:
     """Parse an expression into its canonical Proposition."""
     if text is None or not text.strip():
         raise EmptyExpression()
-    parser = _Parser(frame, tokenize(text))
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExprSyntaxError(trailing.position, "end of input, '&' or '|'")
-    return node
+    names, masks, full = frame.names, _digit_masks(frame.n), frame.full_mask
+    # union is the OR of the finished terms of the innermost open group and
+    # meet the AND of its current term; `outer` keeps the enclosing pairs
+    union, meet, outer = 0, full, []
+    want_factor = True
+    for tok, i in _scan(text):
+        if want_factor:
+            if tok == "(":
+                if len(outer) == _MAX_NESTING:
+                    raise ExprSyntaxError(_byte(text, i), f"at most {_MAX_NESTING} nested parentheses")
+                outer.append((union, meet))
+                union, meet = 0, full
+                continue
+            if tok in _PUNCTUATION:
+                raise ExprSyntaxError(_byte(text, i), "identifier or '('")
+            if tok not in names:
+                raise UnknownIdentifier(tok, _byte(text, i))
+            meet &= masks[names.index(tok)]
+            want_factor = False
+        elif tok == "&":
+            want_factor = True
+        elif tok == "|":
+            union, meet, want_factor = union | meet, full, True
+        elif tok == ")" and outer:
+            group = union | meet
+            union, meet = outer.pop()
+            meet &= group
+        elif outer:
+            raise ExprSyntaxError(_byte(text, i), "')'")
+        elif tok:  # anything but the end of input
+            raise ExprSyntaxError(_byte(text, i), "end of input, '&' or '|'")
+    return _proposition(frame, union | meet)
 
 
-def roundtrip(frame: Frame, p: Proposition) -> Proposition:
-    """parse(to_expression(p)); EMPTY is special-cased since its rendering is not parseable."""
-    if p.is_empty:
-        return empty(frame)
-    return parse(frame, to_expression(p))
+def _parse_or_empty(frame: Frame, text: str) -> Proposition:
+    """A mass-table key: an expression, or "EMPTY", which the grammar deliberately lacks."""
+    return empty(frame) if text.strip() == "EMPTY" else parse(frame, text)

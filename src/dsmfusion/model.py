@@ -82,10 +82,6 @@ def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel
     return model
 
 
-def free_model(frame: Frame) -> HybridModel:
-    return HybridModel(frame, 0)
-
-
 def shafer_model(frame: Frame) -> HybridModel:
     """All pairwise exclusivity constraints; survivors form the power set.
 

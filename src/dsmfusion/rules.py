@@ -40,11 +40,12 @@ from functools import cached_property
 from math import fsum, isfinite
 from typing import Iterable, Mapping, Sequence
 
-from .bba import MassAssignment, require_power_set
+from .bba import MassAssignment, is_power_set_element, require_power_set
 from .errors import (
     FewerThanTwoSources,
     FrameMismatch,
     FullContradiction,
+    NotPowerSetSupport,
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
@@ -247,11 +248,14 @@ def lefevre_combine(
 
     The weights map subsets of the frame (EMPTY allowed) to coefficients
     summing to one; each A receives w(A) times the conflict, and w(EMPTY)
-    keeps that share on EMPTY (open-world).
+    keeps that share on EMPTY (open-world).  A key that is not a union of
+    singletons raises NotPowerSetSupport.
     """
-    for w in weights.values():
+    for prop, w in weights.items():
         if not isfinite(w):
             raise WeightsNotNormalized(f"weight {w!r} is not a finite number")
+        if not is_power_set_element(prop):
+            raise NotPowerSetSupport(f"weight key {prop} is not a union of singletons")
     total_w = fsum(weights.values())
     if abs(total_w - 1.0) > 1e-9:
         raise WeightsNotNormalized(f"weights sum to {total_w!r}, expected 1")

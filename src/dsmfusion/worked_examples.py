@@ -15,8 +15,8 @@ from math import fsum
 from .bba import MassAssignment
 from .dynamic import run_session, stages_from
 from .errors import FullContradiction
-from .exprparse import parse
-from .lattice import Frame, Proposition, build_frame, empty, to_expression
+from .exprparse import _parse_or_empty, parse
+from .lattice import Frame, build_frame, to_expression
 from .model import build_model, shafer_model, survivors
 from .render import breakdown_lines, column_totals, compressed_lines, mass_lines
 from .rules import dempster, dsm_classic, dsm_hybrid
@@ -412,10 +412,6 @@ def _assignment(frame: Frame, table: dict[str, float]) -> MassAssignment:
     return MassAssignment(frame, {parse(frame, k): v for k, v in table.items()})
 
 
-def _prop(frame: Frame, expr: str) -> Proposition:
-    return empty(frame) if expr == "EMPTY" else parse(frame, expr)
-
-
 def _model_for(frame: Frame, key: str):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -452,13 +448,13 @@ def _run_constraint_example(example_id: str, key: str, sources, classic_expected
         for expr, v in classic_expected.items():
             check.close(classic[parse(frame, expr)], v)
 
-    props = [_prop(frame, expr) for expr in ELEMENTS_3]
+    props = [_parse_or_empty(frame, expr) for expr in ELEMENTS_3]
     lines.append(f"== {example_id}: constraint {' , '.join(MODEL_CONSTRAINTS[key])} ==")
     lines += breakdown_lines(bd, props)
     lines.append(column_totals(bd, props))
     if rows_expected is not None:
         for expr, (phi_e, s1_e, s2_e, s3_e, m_e) in rows_expected.items():
-            p = _prop(frame, expr)
+            p = _parse_or_empty(frame, expr)
             check.exact(bd.model.phi(p) == phi_e)
             check.close(bd.s1.get(p, 0.0), s1_e)
             check.close(bd.s2.get(p, 0.0), s2_e)

@@ -21,10 +21,8 @@ from dsmfusion import (
     dsm_hybrid,
     empty,
     enumerate_hpset,
-    free_model,
     lefevre_combine,
     parse,
-    roundtrip,
     shafer_model,
     smets,
     to_expression,
@@ -33,6 +31,7 @@ from dsmfusion import (
 )
 from dsmfusion.cli import sweep_rows
 from dsmfusion.errors import FullContradiction
+from dsmfusion.exprparse import _parse_or_empty
 from dsmfusion.worked_examples import (
     COMPRESSED_3,
     GENERAL_COMPRESSED_3,
@@ -77,7 +76,7 @@ def test_criterion_1_hpset_19_elements(frame3):
     listed = {empty(frame3)} | {parse(frame3, e) for e in ELEMENTS}
     assert set(hp) == listed
     for p in hp:
-        assert roundtrip(frame3, p) == p
+        assert _parse_or_empty(frame3, to_expression(p)) == p
     assert elapsed < 1.0
     _ok(1, f"19 elements in {elapsed * 1e3:.1f} ms")
 
@@ -195,7 +194,7 @@ def test_criterion_8_randomized_property_suite():
             continue  # vacuous; redraw
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = build_model(frame, constraints) if constraints else free_model(frame)
+            model = build_model(frame, constraints)
         trials += 1
 
         bd = dsm_hybrid(ms, model)
@@ -211,7 +210,7 @@ def test_criterion_8_randomized_property_suite():
         for p in set(base.keys()) | set(shuffled.keys()):
             assert abs(base[p] - shuffled[p]) <= 1e-12
 
-        free_bd = dsm_hybrid(ms, free_model(frame))
+        free_bd = dsm_hybrid(ms, build_model(frame, []))
         for p in set(free_bd.result.keys()) | set(base.keys()):
             assert abs(free_bd.result[p] - base[p]) <= 1e-12
 
@@ -271,6 +270,6 @@ def test_criterion_10_roundtrip_n_le_4():
     for n in (1, 2, 3, 4):
         frame = build_frame([f"t{i}" for i in range(1, n + 1)])
         for p in enumerate_hpset(frame):
-            q = roundtrip(frame, p)
+            q = _parse_or_empty(frame, to_expression(p))
             assert q == p, to_expression(p)
     _ok(10, "parse(to_expression(.)) identity on all elements up to n=4")

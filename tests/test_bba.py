@@ -18,7 +18,14 @@ from dsmfusion import (
     total_ignorance,
     vacuous,
 )
-from dsmfusion.errors import EmptySetMass, MassSumNotOne, NegativeMass, NotPowerSetSupport
+from dsmfusion.errors import (
+    EmptySetMass,
+    FrameMismatch,
+    MassSumNotOne,
+    NegativeMass,
+    NotAnElement,
+    NotPowerSetSupport,
+)
 from conftest import SOURCE_A, SOURCE_B, assignment
 
 
@@ -70,6 +77,15 @@ class TestValidate:
             assignment(frame3, {"t1": bad, "t2": 1.0})
         with pytest.raises(error):
             assignment(frame3, {"t1": bad})
+
+    @pytest.mark.parametrize("key", ["t1", None, 1])
+    def test_key_not_a_proposition(self, frame3, key):
+        with pytest.raises(NotAnElement):
+            MassAssignment(frame3, {key: 1.0})
+
+    def test_key_from_another_frame(self, frame2, frame3):
+        with pytest.raises(FrameMismatch):
+            MassAssignment(frame3, {singleton(frame2, 1): 1.0})
 
 
 class TestVacuous:

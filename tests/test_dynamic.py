@@ -13,7 +13,6 @@ from dsmfusion import (
     dsm_hybrid,
     embed,
     embed_proposition,
-    free_model,
     parse,
     restore_check,
     run_session,
@@ -197,8 +196,7 @@ def oracle_session(frame, sources, stages, rule="dsmh", constraints=()):
                 factors = [dsm_classic(factors), embed(src, src.frame, frame)]
             if stage.set_constraints is not None:
                 constraints = stage.set_constraints
-        model = (build_model(frame, [parse(frame, c) for c in constraints])
-                 if constraints else free_model(frame))
+        model = build_model(frame, [parse(frame, c) for c in constraints])
         if rule == "dsmh":
             breakdowns.append(dsm_hybrid(factors, model))
             results.append(compress(model, breakdowns[-1].result))

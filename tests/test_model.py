@@ -13,7 +13,6 @@ from dsmfusion import (
     empty,
     encoding_matrix,
     enumerate_hpset,
-    free_model,
     parse,
     shafer_model,
     singleton,
@@ -68,12 +67,12 @@ class TestBuildModel:
             warnings.simplefilter("error")
             for names in (["t1"], ["t1", "t2"]):
                 frame = build_frame(names)
-                assert build_model(frame, []) == free_model(frame)
+                assert build_model(frame, []).is_free
 
 
 class TestPhi:
     def test_free_model(self, frame3):
-        m = free_model(frame3)
+        m = build_model(frame3, [])
         for p in enumerate_hpset(frame3):
             assert m.phi(p) == (0 if p.is_empty else 1)
 
@@ -83,11 +82,11 @@ class TestPhi:
         assert m.phi(parse(frame3, "t1&t3")) == 1
 
     def test_absolute_empty(self, frame3):
-        assert free_model(frame3).phi(empty(frame3)) == 0
+        assert build_model(frame3, []).phi(empty(frame3)) == 0
 
     def test_frame_mismatch(self, frame3, frame2):
         with pytest.raises(FrameMismatch):
-            free_model(frame3).phi(singleton(frame2, 1))
+            build_model(frame3, []).phi(singleton(frame2, 1))
 
 
 class TestReduce:
@@ -103,7 +102,7 @@ class TestReduce:
         assert m.reduce(parse(frame3, "t1|t2")) == parse(frame3, "t2")
 
     def test_free_identity(self, frame3):
-        m = free_model(frame3)
+        m = build_model(frame3, [])
         for p in enumerate_hpset(frame3):
             assert m.reduce(p) == p
 
@@ -191,7 +190,7 @@ class TestEncodingMatrix:
 
 class TestCompress:
     def test_free_identity(self, frame3):
-        m = free_model(frame3)
+        m = build_model(frame3, [])
         a = assignment(frame3, {"t1": 0.4, "t2&t3": 0.6})
         c = compress(m, a)
         assert c.items() == a.items()
@@ -245,7 +244,7 @@ class TestConstraintClosureProperties:
                     continue
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    model = build_model(frame, [c]) if c.mask else free_model(frame)
+                    model = build_model(frame, [c])
                 a = random_proposition(rng, frame, allow_empty=True)
                 b = random_proposition(rng, frame, allow_empty=True)
                 if model.phi(a) == 0:

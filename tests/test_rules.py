@@ -22,7 +22,6 @@ from dsmfusion import (
     dubois_prade,
     empty,
     enumerate_hpset,
-    free_model,
     from_generators,
     lefevre_combine,
     leq,
@@ -39,6 +38,7 @@ from dsmfusion import lattice, rules
 from dsmfusion.errors import (
     FewerThanTwoSources,
     FullContradiction,
+    NotPowerSetSupport,
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
@@ -124,7 +124,7 @@ def oracle_tuples(ms, model):
 def random_model(rng, frame):
     c = random_proposition(rng, frame)
     if not c.mask or c.mask == frame.full_mask:
-        return free_model(frame)
+        return build_model(frame, [])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_model(frame, [c])
@@ -215,7 +215,7 @@ class TestClassicRule:
         # under the free model the hybrid oracle books every tuple on S1
         ms = [assignment(frame3, SOURCE_A), assignment(frame3, SOURCE_B)]
         lean = dsm_classic(ms)
-        oracle = oracle_hybrid(ms, free_model(frame3))
+        oracle = oracle_hybrid(ms, build_model(frame3, []))
         for prop in set(lean.keys()) | set(oracle):
             assert lean[prop] == pytest.approx(oracle.get(prop, 0.0), abs=1e-12)
 
@@ -275,7 +275,7 @@ class TestHybridRule:
             assert bd.result[parse(frame3, expr)] == pytest.approx(v, abs=1e-9), expr
 
     def test_free_model_equals_classic(self, frame3, sources):
-        bd = dsm_hybrid(sources, free_model(frame3))
+        bd = dsm_hybrid(sources, build_model(frame3, []))
         classic = dsm_classic(sources)
         for prop in set(bd.result.keys()) | set(classic.keys()):
             assert bd.result[prop] == pytest.approx(classic[prop], abs=1e-12)
@@ -331,7 +331,7 @@ class TestHybridRule:
                             smets_mode=True)
         m2 = MassAssignment(frame2, {empty(frame2): 0.5, parse(frame2, "t2"): 0.5},
                             smets_mode=True)
-        out = dsm_hybrid([m1, m2], free_model(frame2)).result
+        out = dsm_hybrid([m1, m2], build_model(frame2, [])).result
         assert out[parse(frame2, "t1|t2")] == pytest.approx(0.1, abs=1e-12)
         assert out[parse(frame2, "t2")] == pytest.approx(0.1, abs=1e-12)
         assert out[parse(frame2, "t1")] == pytest.approx(0.4, abs=1e-12)
@@ -470,6 +470,13 @@ class TestLefevreFamily:
         with pytest.raises(WeightsNotNormalized):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): bad, parse(frame2, "t2"): 1.0})
 
+    def test_weight_key_not_in_power_set(self, frame2):
+        # conflict booked on t1&t2 would make an assignment bel and dempster refuse
+        m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
+        m2 = assignment(frame2, {"t1": 0.1, "t2": 0.9})
+        with pytest.raises(NotPowerSetSupport):
+            lefevre_combine(m1, m2, {parse(frame2, "t1&t2"): 1.0})
+
 
 class TestDuboisPrade:
     def test_full_contradiction(self, frame2):
@@ -513,7 +520,7 @@ class TestMixture:
 
     def test_free_convexity(self, frame3):
         ms = [assignment(frame3, SOURCE_A), assignment(frame3, SOURCE_B)]
-        fm = free_model(frame3)
+        fm = build_model(frame3, [])
         mix = bayesian_mixture(ms, MixtureSpec(((fm, 0.5), (fm, 0.5))))
         classic = dsm_classic(ms)
         for p in set(mix.keys()) | set(classic.keys()):
@@ -527,7 +534,7 @@ class TestMixture:
         assert mix[parse(frame3, "t3")] == pytest.approx(0.135, abs=1e-9)
 
     def test_probabilities_not_normalized(self, frame3):
-        model = free_model(frame3)
+        model = build_model(frame3, [])
         with pytest.raises(ProbabilitiesNotNormalized):
             MixtureSpec(((model, 0.5), (model, 0.6)))
 
@@ -548,7 +555,7 @@ class TestMixture:
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_probability(self, frame3, bad):
-        model = free_model(frame3)
+        model = build_model(frame3, [])
         with pytest.raises(ProbabilitiesNotNormalized):
             MixtureSpec(((model, bad), (model, 1.0)))
 
@@ -688,4 +695,4 @@ def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
     dubois_prade(*ps)
     lefevre_combine(*ps, {total_ignorance(frame3): 1.0})
     with pytest.raises(AssertionError, match="generators extracted"):
-        dsm_hybrid(ms, free_model(frame3))
+        dsm_hybrid(ms, build_model(frame3, []))
