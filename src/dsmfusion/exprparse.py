@@ -58,7 +58,11 @@ def _scan(text: str) -> list[tuple[str, int]]:
 
 def parse(frame: Frame, text: str) -> Proposition:
     """Parse an expression into its canonical Proposition."""
-    if text is None or not text.strip():
+    if not isinstance(text, str):
+        if text is None:
+            raise EmptyExpression()
+        raise ExprSyntaxError(0, f"an expression string, not {type(text).__name__}")
+    if not text.strip():
         raise EmptyExpression()
     names, masks, full = frame.names, _digit_masks(frame.n), frame.full_mask
     # union is the OR of the finished terms of the innermost open group and
@@ -96,4 +100,4 @@ def parse(frame: Frame, text: str) -> Proposition:
 
 def _parse_or_empty(frame: Frame, text: str) -> Proposition:
     """A mass-table key: an expression, or "EMPTY", which the grammar deliberately lacks."""
-    return empty(frame) if text.strip() == "EMPTY" else parse(frame, text)
+    return empty(frame) if isinstance(text, str) and text.strip() == "EMPTY" else parse(frame, text)

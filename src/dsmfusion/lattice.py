@@ -16,10 +16,10 @@ singleton atoms come first: bit d-1 of a mask is the atom of digit d alone,
 so the low n bits of a mask are its singleton atoms.
 
 Generator extraction (`_generator_positions`, behind `generators`, `u_of`,
-`to_expression` and `_up_closure`) requires a convex atom set: if
-atoms a ⊂ b ⊂ c have a and c present, b is present too.  Every up-closed
-set is convex, and so is an up-closed set minus an up-closed set (the
-atoms of a proposition that survive a model), which covers every caller.
+`to_expression`, and the same walk in `_up_closure`) takes one step per
+generator and is exact on any atom set: the lowest atom present is
+minimal, since its proper subsets all sit at lower positions, and clearing
+its up-closure leaves the remaining generators.
 
 The public `Proposition(frame, mask)` checks that the mask is an element:
 in range and up-closed.  Library code, which only ever builds elements,
@@ -57,11 +57,11 @@ ENUMERATION_LIMIT = 5
 #: takes about a second and 80 MB on a 2-vCPU VM.
 FRAME_LIMIT = 18
 
-#: Entries kept by the generator cache, keyed by proposition mask, and by
-#: the cache of generators' up-closures.  A pass of perfbench's
-#: fuse_many_sources workload touches 4365 distinct masks, and a 4096-entry
-#: cache thrashed there; a mask holds up to 2^n - 1 bits (32 KiB at
-#: FRAME_LIMIT).
+#: Entries kept by the cache of up-closures of single atoms, keyed by frame
+#: size and digit bitset, the only cache generator extraction reads.  A
+#: frame of n singletons has 2^n - 1 keys, so 8192 entries hold every key of
+#: every frame up to n=12 at once (8178 keys); beyond that the size bounds
+#: memory, as an entry holds up to 2^n - 1 bits (32 KiB at FRAME_LIMIT).
 GENERATOR_CACHE_SIZE = 8192
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -119,39 +119,28 @@ def _singletons_union(n: int, digits: int) -> int:
     return out
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _generator_positions(n: int, mask: int) -> tuple[int, ...]:
     """Ascending positions of the atoms of `mask` minimal under digit-set inclusion.
 
-    `mask` must be convex (see the module docstring): then an atom is
-    minimal exactly when none of its one-digit-smaller subsets is present,
-    so the walk costs O(k·n) for k present atoms, whatever 2^n is.
+    Every proper subset of an atom sits at a lower position, so the lowest
+    atom present is minimal; clearing its up-closure leaves the other
+    minimal atoms.  One step per generator, on any atom set.
     """
-    bits, position = _atom_bits(n)
-    # present[i] is bit i of mask; a subset's position is always below its
-    # superset's (fewer digits come first), so it lies inside the string
-    present = bin(mask)[:1:-1]
+    bits = _atom_bits(n)[0]
     out = []
-    i = present.find("1")
-    while i >= 0:
-        b = rest = bits[i]
-        while rest:
-            low = rest & -rest
-            if low != b and present[position[b ^ low]] == "1":
-                break
-            rest ^= low
-        else:
-            out.append(i)
-        i = present.find("1", i + 1)
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        out.append(i)
+        mask &= ~_up_mask(n, bits[i])
     return tuple(out)
 
 
 def _up_closure(n: int, mask: int) -> int:
-    """Smallest up-closed atom bitset containing a convex mask: its generators' up-closure."""
+    """Smallest up-closed atom bitset containing mask: its generators' up-closure."""
     bits = _atom_bits(n)[0]
     out = 0
-    for pos in _generator_positions(n, mask):
-        out |= _up_mask(n, bits[pos])
+    while rest := mask & ~out:
+        out |= _up_mask(n, bits[(rest & -rest).bit_length() - 1])
     return out
 
 

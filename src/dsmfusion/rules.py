@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum, isfinite
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 from .bba import MassAssignment, is_power_set_element, require_power_set
@@ -45,6 +46,7 @@ from .errors import (
     FewerThanTwoSources,
     FrameMismatch,
     FullContradiction,
+    NotAnElement,
     NotPowerSetSupport,
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
@@ -248,11 +250,15 @@ def lefevre_combine(
 
     The weights map subsets of the frame (EMPTY allowed) to coefficients
     summing to one; each A receives w(A) times the conflict, and w(EMPTY)
-    keeps that share on EMPTY (open-world).  A key that is not a union of
-    singletons raises NotPowerSetSupport.
+    keeps that share on EMPTY (open-world).  A key that is not a Proposition
+    raises NotAnElement, one that is not a union of singletons
+    NotPowerSetSupport, and a weight that is not a finite real number
+    WeightsNotNormalized.
     """
     for prop, w in weights.items():
-        if not isfinite(w):
+        if not isinstance(prop, Proposition):
+            raise NotAnElement(f"weight key {prop!r} is not a Proposition")
+        if not (isinstance(w, Real) and isfinite(w)):
             raise WeightsNotNormalized(f"weight {w!r} is not a finite number")
         if not is_power_set_element(prop):
             raise NotPowerSetSupport(f"weight key {prop} is not a union of singletons")

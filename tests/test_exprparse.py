@@ -67,6 +67,18 @@ class TestParse:
             parse(frame3, "(" * 101 + "t1" + ")" * 101)
         assert exc.value.position == 100
 
+    @pytest.mark.parametrize("read", [parse, _parse_or_empty])
+    @pytest.mark.parametrize("text, kind", [(5, "int"), (b"t1", "bytes"), (["t1"], "list")])
+    def test_non_string_text(self, frame3, read, text, kind):
+        with pytest.raises(ParseError, match=kind) as exc:
+            read(frame3, text)
+        assert exc.value.position == 0
+
+    @pytest.mark.parametrize("read", [parse, _parse_or_empty])
+    def test_none_text(self, frame3, read):
+        with pytest.raises(EmptyExpression):
+            read(frame3, None)
+
     def test_byte_positions_with_unicode(self, frame3):
         # the 3-byte operator shifts later byte offsets
         with pytest.raises(UnknownIdentifier) as exc:

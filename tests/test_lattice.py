@@ -28,7 +28,7 @@ from dsmfusion.errors import (
     InvalidIdentifier,
     NotAnElement,
 )
-from dsmfusion.lattice import _atom_digits, _digit_masks, _generator_positions
+from dsmfusion.lattice import _atom_digits, _digit_masks, _generator_positions, _up_mask
 from conftest import atom_digits, atom_labels, label
 
 
@@ -339,7 +339,25 @@ def test_generator_extraction_matches_oracle(data, n):
     representative = from_generators(
         frame, [atoms[i] for i in oracle_generator_positions(n, survivors)])
     assert model.reduce(Proposition(frame, p)) == representative
-    assert _generator_positions.cache_info().maxsize is not None
+    if n <= 5:
+        # any atom set, convex or not
+        mask = sum(1 << i for i in data.draw(st.sets(st.integers(0, frame.atom_count - 1))))
+        assert _generator_positions(n, mask) == oracle_generator_positions(n, mask)
+    assert _up_mask.cache_info().maxsize is not None
+
+
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(8, 12))
+def test_wide_frame_antichain_round_trip(data, n):
+    """from_generators then .generators gives back a random antichain at n=8..12."""
+    frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+    digit_set = st.frozensets(st.integers(1, n), min_size=1)
+    candidates = data.draw(st.lists(digit_set, min_size=1, max_size=4))
+    antichain = {g for g in candidates if not any(h < g for h in candidates)}
+    gens = from_generators(frame, antichain).generators
+    assert set(map(frozenset, gens)) == antichain
+    assert len(gens) == len(antichain)
+    assert list(gens) == sorted(gens, key=lambda g: (len(g), g))
 
 
 class TestCheckedConstruction:

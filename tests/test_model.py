@@ -6,10 +6,12 @@ import pytest
 
 from dsmfusion import (
     MassAssignment,
+    Proposition,
     build_frame,
     build_model,
     compress,
     disjoin,
+    dsm_hybrid,
     empty,
     encoding_matrix,
     enumerate_hpset,
@@ -17,8 +19,9 @@ from dsmfusion import (
     shafer_model,
     singleton,
     survivors,
+    to_expression,
 )
-from dsmfusion.errors import FrameMismatch, MassOnEmptyClass, VacuousModel
+from dsmfusion.errors import FrameMismatch, MassOnEmptyClass, NotAnElement, VacuousModel
 from conftest import assignment, atom_labels, random_proposition
 
 
@@ -253,3 +256,35 @@ class TestConstraintClosureProperties:
                             assert model.phi(q) == 0
                 if model.phi(a) == 0 and model.phi(b) == 0:
                     assert model.phi(disjoin(a, b)) == 0
+
+
+class TestSixteenSingletons:
+    """Parsing, checked construction and hybrid fusion at n=16, where a mask has 65535 atoms."""
+
+    EXPRESSIONS = ["(t1&t2)|t16", "t3&(t4|t5)&t16", "((t1|t2)&(t3|t4))|(t5&t6&t7)",
+                   "t8|t9|(t10&t11&t12&t13)"]
+
+    @pytest.fixture(scope="class")
+    def frame16(self):
+        return build_frame([f"t{i}" for i in range(1, 17)])
+
+    def test_parse_round_trip_and_checked_construction(self, frame16):
+        for text in self.EXPRESSIONS:
+            p = parse(frame16, text)
+            assert parse(frame16, to_expression(p)) == p
+            assert Proposition(frame16, p.mask) == p
+        # the atom 12 alone, without 123 and the other atoms above it, is not up-closed
+        t1t2 = parse(frame16, "t1&t2").mask
+        with pytest.raises(NotAnElement):
+            Proposition(frame16, t1t2 & -t1t2)
+
+    def test_hybrid_fusion_and_compression(self, frame16):
+        model = model_for(frame16, "t1&t2")
+        m1 = assignment(frame16, {"t1": 0.4, "t2|t3": 0.35, "t16&t4": 0.25})
+        m2 = assignment(frame16, {"t2": 0.5, "t1|t16": 0.3, "t3&t5": 0.2})
+        result = dsm_hybrid([m1, m2], model).result
+        assert result.total == pytest.approx(1.0, abs=1e-12)
+        assert not any(model.is_empty(p) for p in result.keys())
+        compressed = compress(model, result)
+        assert compressed.total == pytest.approx(1.0, abs=1e-12)
+        assert not any(model.is_empty(p) for p in compressed.keys())

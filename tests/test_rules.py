@@ -38,6 +38,7 @@ from dsmfusion import lattice, rules
 from dsmfusion.errors import (
     FewerThanTwoSources,
     FullContradiction,
+    NotAnElement,
     NotPowerSetSupport,
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
@@ -464,11 +465,17 @@ class TestLefevreFamily:
         with pytest.raises(WeightsNotNormalized):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): 0.5})
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", [*NON_FINITE, "1", None])
     def test_non_finite_weight(self, frame2, bad):
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         with pytest.raises(WeightsNotNormalized):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): bad, parse(frame2, "t2"): 1.0})
+
+    @pytest.mark.parametrize("key", ["t1", None])
+    def test_weight_key_not_a_proposition(self, frame2, key):
+        m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
+        with pytest.raises(NotAnElement):
+            lefevre_combine(m1, m1, {key: 1.0})
 
     def test_weight_key_not_in_power_set(self, frame2):
         # conflict booked on t1&t2 would make an assignment bel and dempster refuse
