@@ -1,9 +1,10 @@
 """CLI output, byte for byte, against a recording.
 
 golden_cli.json holds the stdout, stderr, warnings and exit code of every
-`reproduce` ID, `sweep --epsilon-steps 101` and five scenarios (hybrid
-with constraints, a two-source power set, a mixture, events, an open-world
-source) under every rule and flag set.  CI runs this file under two hash
+`reproduce` ID, `sweep --epsilon-steps 101`, `hpset --matrix` on the free
+frames of one to four singletons and on two constrained frames (n=4 and
+n=5), and five scenarios (hybrid with constraints, a two-source power set,
+a mixture, events, an open-world source) under every rule and flag set.  CI runs this file under two hash
 seeds, so the output cannot depend on set or dict order of hashed keys.
 
 Re-record, only when an output is meant to change, with
@@ -44,6 +45,11 @@ def run(argv):
 def commands(scenarios):
     cmds = [("reproduce", "--example", x) for x in EXAMPLE_IDS]
     cmds.append(("sweep", "--epsilon-steps", "101"))
+    for n in range(1, 5):
+        cmds.append(("hpset", "--frame", ",".join(f"t{i}" for i in range(1, n + 1)), "--matrix"))
+    cmds.append(("hpset", "--frame", "t1,t2,t3,t4", "--constraints", "t1&t2", "--matrix"))
+    cmds.append(("hpset", "--frame", "t1,t2,t3,t4,t5", "--constraints", "(t1|t2)&t3",
+                 "--constraints", "t4&t5", "--matrix"))
     for name in scenarios:
         for rule in RULES:
             for flags in FLAGS:
