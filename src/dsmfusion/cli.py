@@ -48,11 +48,10 @@ def _print(line: str = "") -> None:
 
 def _parse_mass(text) -> float:
     # Masses travel as decimal strings so files parse identically everywhere;
-    # plain JSON numbers are tolerated, JSON booleans (ints in Python) are not.
+    # plain JSON numbers go the same way (an int past the float range becomes
+    # inf, which validation refuses); JSON booleans (ints in Python) do not.
     if isinstance(text, bool):
         raise ScenarioError(f"expected a decimal number, not {text!r}")
-    if isinstance(text, (int, float)):
-        return float(text)
     try:
         return float(Decimal(str(text)))
     except (InvalidOperation, ValueError) as exc:  # ValueError: signaling NaN
@@ -65,8 +64,9 @@ def _load_scenario(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested past the parser's depth
+    except (ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, bad JSON or an int literal past the
+        # int-to-str digit limit; RecursionError: nesting past the parser's depth
         raise ScenarioError(f"scenario {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "frame" not in doc or "sources" not in doc:
         raise ScenarioError("scenario must be an object with 'frame' and 'sources'")

@@ -199,6 +199,10 @@ class TestCombine:
         pytest.param(with_first_masses(("a", "1e308"), ("b", "1e308")), id="overflow-mass"),
         pytest.param(with_first_masses(("a", True)), id="bool-mass"),
         pytest.param(dict(SCENARIO_AB, mixture=[{"probability": True}]), id="bool-probability"),
+        pytest.param(with_extra_mass(10**400), id="huge-int-mass"),
+        pytest.param(dict(SCENARIO_AB, mixture=[{"probability": 10**400},
+                                                {"constraints": ["a&b"], "probability": 1}]),
+                     id="huge-int-probability"),
         pytest.param(dict(SCENARIO_AB, constraints=["(" * 2000 + "a&b" + ")" * 2000]),
                      id="deep-parens"),
         pytest.param(dict(SCENARIO_AB, events=[{"add_elements": [f"c{i}" for i in range(17)]}]),
@@ -219,6 +223,10 @@ class TestCombine:
         nested = tmp_path / "nested.json"
         nested.write_text("[" * 100_000, encoding="utf-8")
         assert main(["combine", "--scenario", str(nested), "--rule", "dsmh"]) == 2
+        # json.dumps refuses to write an int past the int-to-str digit limit
+        long_int = tmp_path / "long_int.json"
+        long_int.write_text(json.dumps(SCENARIO_AB).replace('"0.6"', "1" * 5000), encoding="utf-8")
+        assert main(["combine", "--scenario", str(long_int), "--rule", "dsmh"]) == 2
         cons = tmp_path / "cons.txt"
         cons.write_bytes("t1&t2\n\u00e1\n".encode("latin-1"))
         assert main(["hpset", "--frame", "t1,t2,t3", "--constraints", f"@{cons}"]) == 2

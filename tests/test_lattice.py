@@ -28,7 +28,7 @@ from dsmfusion.errors import (
     InvalidIdentifier,
     NotAnElement,
 )
-from dsmfusion.lattice import _atom_digits, _digit_masks, _generator_positions, _up_mask
+from dsmfusion.lattice import _atom_bits, _atom_digits, _digit_masks, _generator_positions, _up_mask
 from conftest import atom_digits, atom_labels, label
 
 
@@ -102,10 +102,11 @@ class TestAtoms:
         f = build_frame(["a", "b", "c", "d"])
         assert len(_atom_digits(f.n)) == f.atom_count == 15
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
     def test_digit_masks(self, n):
-        atoms = _atom_digits(n)
-        assert list(atoms) == atom_digits(n)
+        atoms = atom_digits(n)
+        assert list(_atom_digits(n)) == atoms
+        assert _atom_bits(n) == tuple(sum(1 << (d - 1) for d in a) for a in atoms)
         assert _digit_masks(n) == tuple(
             sum(1 << pos for pos, a in enumerate(atoms) if d in a) for d in range(1, n + 1))
 
@@ -168,7 +169,7 @@ class TestBasicOps:
 
 
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 19)])
+    @pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 19), (4, 167), (5, 7580)])
     def test_reference_counts(self, n, count):
         f = build_frame([f"t{i}" for i in range(1, n + 1)])
         assert len(enumerate_hpset(f)) == count
