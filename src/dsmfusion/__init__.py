@@ -3,9 +3,9 @@
 Library layout:
 
   lattice    canonical propositions (free distributive lattice) and u(X);
-             an atom is a digit tuple for printing and a digit bitset for
-             arithmetic, and generators come out as digit tuples; the
-             public Proposition constructor checks its mask
+             an atom is stored as a digit bitset, decoded to a digit
+             tuple only where generators come out; the public
+             Proposition constructor checks its mask
   exprparse  expression grammar shared by the CLI and scenario files
   bba        mass assignments (stored by atom bitset), belief, plausibility
   model      integrity constraints, equivalence classes, compression

@@ -131,6 +131,8 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
     rule = args.rule
     if args.breakdown and rule != "dsmh":
         raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
+    if rule in ("dempster", "yager", "smets", "dubois-prade") and model.empty_mask & ((1 << frame.n) - 1):
+        raise ScenarioError(f"rule {rule!r} cannot honour a constraint emptying a singleton; use 'dsmh'")
     lines = []
     if rule == "dsmh":
         bd = dsm_hybrid(sources, model)
@@ -151,6 +153,8 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
         entries = _list(doc, "mixture")
         if not entries:
             raise ScenarioError("rule 'mixture' needs a 'mixture' list in the scenario")
+        if not model.is_free:
+            raise ScenarioError("rule 'mixture' takes constraints per 'mixture' entry, not top-level")
         pairs = []
         for ent in entries:
             if not isinstance(ent, dict) or "probability" not in ent:
@@ -199,14 +203,15 @@ def cmd_combine(args) -> int:
     stages = stages_from(events, frame.names, lambda grown, obj: _source_from(obj, grown, False))
     session = run_session(frame, sources, stages, rule=args.rule,
                           constraints=constraint_exprs)
+    if args.breakdown and args.rule != "dsmh":
+        raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
     csv = args.out == "csv"
-    for i, rec in enumerate(session.history):
+    for rec in session.history:
         _print(f"== stage {rec.label} ==" if not csv else f"# stage {rec.label}")
         for line in mass_lines(rec.result, csv):
             _print(line)
-        if args.breakdown and args.rule == "dsmh":
-            bd = session.breakdowns[i]
-            for line in breakdown_lines(bd, _breakdown_rows(bd), csv):
+        if args.breakdown:
+            for line in breakdown_lines(rec.breakdown, _breakdown_rows(rec.breakdown), csv):
                 _print(line)
     return 0
 

@@ -20,7 +20,8 @@ from .errors import FrameMismatch, MissingName, RuleNotApplicable, ScenarioError
 from .exprparse import parse
 from .lattice import Frame, Proposition, _proposition, build_frame, from_generators, to_expression
 from .model import build_model, compress
-from .rules import _classic_masses, _common_frame, _hybrid_breakdown, _hybrid_states, _map_states
+from .rules import (HybridBreakdown, _classic_masses, _common_frame, _hybrid_breakdown, _hybrid_states,
+                    _map_states)
 
 
 def embed_proposition(p: Proposition, new: Frame) -> Proposition:
@@ -99,6 +100,7 @@ class SessionResult:
     label: str
     frame: Frame
     result: MassAssignment  # compressed for reporting
+    breakdown: HybridBreakdown | None  # None under 'dsmc'
 
     def by_expression(self) -> dict[str, float]:
         return {to_expression(p): v for p, v in self.result.items()}
@@ -112,7 +114,6 @@ class FusionSession:
     rule: str = "dsmh"
     smets_mode: bool = False  # set once any source is open-world
     history: list[SessionResult] = field(default_factory=list)
-    breakdowns: list = field(default_factory=list)
 
     @classmethod
     def start(
@@ -133,15 +134,15 @@ class FusionSession:
         if self.rule == "dsmh":
             breakdown = _hybrid_breakdown(self.frame, self.states, model)
             result = compress(model, breakdown.result)
-            self.breakdowns.append(breakdown)
         elif self.rule == "dsmc":
             if not model.is_free:
                 raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
             masses = _classic_masses(self.frame, self.states)
             result = MassAssignment._from_masks(self.frame, masses, smets_mode=self.smets_mode)
+            breakdown = None
         else:
             raise RuleNotApplicable(f"rule {self.rule!r} cannot drive a session")
-        record = SessionResult(label, self.frame, result)
+        record = SessionResult(label, self.frame, result, breakdown)
         self.history.append(record)
         return record
 

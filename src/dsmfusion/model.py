@@ -17,7 +17,8 @@ from typing import Iterable, Mapping
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MassOnEmptyClass, VacuousModel
-from .lattice import Frame, Proposition, _atom_digits, _proposition, _up_closure, enumerate_hpset
+from .lattice import (Frame, Proposition, _atom_bits, _digit_tuple, _proposition, _up_closure,
+                      enumerate_hpset)
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,7 @@ def encoding_matrix(model: HybridModel) -> tuple[list[tuple[int, ...]], list[lis
     representative.
     """
     positions = [i for i in range(model.frame.atom_count) if not model.empty_mask >> i & 1]
-    digits = _atom_digits(model.frame.n)
-    basis = [digits[i] for i in positions]
+    basis = [_digit_tuple(_atom_bits(model.frame.n)[i]) for i in positions]
     matrix = []
     for cls in survivors(model):
         mask = cls.representative.mask

@@ -209,6 +209,8 @@ class TestCombine:
                      id="frame-grows-too-large"),
         pytest.param(dict(SCENARIO_AB, events=5), id="events-not-list"),
         pytest.param(dict(SCENARIO_AB, mixture=5), id="mixture-not-list"),
+        pytest.param(dict(SCENARIO_AB, constraints=["a&b"], mixture=[{"probability": "1"}]),
+                     id="mixture-top-level-constraints"),
     ])
     def test_malformed_scenarios_exit_2(self, scenario_file, doc):
         path = scenario_file(doc)
@@ -269,6 +271,32 @@ class TestCombine:
         assert "== stage constrain ==" in out
         tail = out.split("== stage constrain ==")[1]
         assert "0.653000" in tail and "0.147000" in tail
+
+    @pytest.mark.parametrize("rule", ["dempster", "yager", "smets", "dubois-prade"])
+    def test_dst_rules_refuse_an_empty_singleton(self, scenario_file, capsys, rule):
+        free = scenario_file(SCENARIO_AB, "free.json")
+        implied = scenario_file(dict(SCENARIO_AB, constraints=["a&b"]), "implied.json")
+        assert main(["combine", "--scenario", free, "--rule", rule]) == 0
+        expected = capsys.readouterr().out
+        # Shafer's model already empties every intersection
+        assert main(["combine", "--scenario", implied, "--rule", rule]) == 0
+        assert capsys.readouterr().out == expected
+        emptied = scenario_file(dict(SCENARIO_AB, frame=["a", "b", "c"], constraints=["a"]),
+                                "emptied.json")
+        for flags in ([], ["--compress"]):
+            assert main(["combine", "--scenario", emptied, "--rule", rule, *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "emptying a singleton" in captured.err
+
+    def test_events_breakdown_needs_dsmh(self, scenario_file, capsys):
+        path = scenario_file(dict(SCENARIO_AB, events=[{"at": "late", "add_elements": ["c"]}]))
+        assert main(["combine", "--scenario", path, "--rule", "dsmc"]) == 0
+        capsys.readouterr()
+        assert main(["combine", "--scenario", path, "--rule", "dsmc", "--breakdown"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--breakdown" in captured.err
+        assert main(["combine", "--scenario", path, "--rule", "dsmh", "--breakdown"]) == 0
+        assert capsys.readouterr().out.count("phi") == 2
 
     def test_mixture(self, scenario_file, capsys):
         doc = dict(SCENARIO_REF)

@@ -28,7 +28,8 @@ from dsmfusion.errors import (
     InvalidIdentifier,
     NotAnElement,
 )
-from dsmfusion.lattice import _atom_bits, _atom_digits, _digit_masks, _generator_positions, _up_mask
+from dsmfusion.lattice import (
+    GENERATOR_CACHE_SIZE, _atom_bits, _digit_masks, _digit_tuple, _generator_positions, _up_mask)
 from conftest import atom_digits, atom_labels, label
 
 
@@ -89,23 +90,28 @@ class TestFrame:
             build_frame([f"t{i}" for i in range(1, 20)])
 
 
+def decoded_atoms(n):
+    """The atom order as the library stores it, decoded to digit tuples."""
+    return [_digit_tuple(bits) for bits in _atom_bits(n)]
+
+
 class TestAtoms:
     def test_universe_n3(self, frame3):
-        labels = [label(digits) for digits in _atom_digits(frame3.n)]
+        labels = [label(digits) for digits in decoded_atoms(frame3.n)]
         assert labels == ["1", "2", "3", "12", "13", "23", "123"]
 
     def test_universe_n1(self):
         f = build_frame(["only"])
-        assert [label(digits) for digits in _atom_digits(f.n)] == ["1"]
+        assert [label(digits) for digits in decoded_atoms(f.n)] == ["1"]
 
     def test_universe_n4_count(self):
         f = build_frame(["a", "b", "c", "d"])
-        assert len(_atom_digits(f.n)) == f.atom_count == 15
+        assert len(_atom_bits(f.n)) == f.atom_count == 15
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
     def test_digit_masks(self, n):
         atoms = atom_digits(n)
-        assert list(_atom_digits(n)) == atoms
+        assert decoded_atoms(n) == atoms
         assert _atom_bits(n) == tuple(sum(1 << (d - 1) for d in a) for a in atoms)
         assert _digit_masks(n) == tuple(
             sum(1 << pos for pos, a in enumerate(atoms) if d in a) for d in range(1, n + 1))
@@ -345,6 +351,7 @@ def test_generator_extraction_matches_oracle(data, n):
         mask = sum(1 << i for i in data.draw(st.sets(st.integers(0, frame.atom_count - 1))))
         assert _generator_positions(n, mask) == oracle_generator_positions(n, mask)
     assert _up_mask.cache_info().maxsize is not None
+    assert _digit_tuple.cache_info().maxsize == GENERATOR_CACHE_SIZE
 
 
 @settings(max_examples=100)
@@ -355,9 +362,16 @@ def test_wide_frame_antichain_round_trip(data, n):
     digit_set = st.frozensets(st.integers(1, n), min_size=1)
     candidates = data.draw(st.lists(digit_set, min_size=1, max_size=4))
     antichain = {g for g in candidates if not any(h < g for h in candidates)}
-    gens = from_generators(frame, antichain).generators
+    p = from_generators(frame, antichain)
+    gens = p.generators
     assert set(map(frozenset, gens)) == antichain
     assert len(gens) == len(antichain)
+    # reference printer: largest generator first, then lexicographic
+    ordered = sorted(gens, key=lambda g: (-len(g), g))
+    terms = ["&".join(frame.names[d - 1] for d in g) for g in ordered]
+    if len(terms) > 1:
+        terms = [f"({t})" if "&" in t else t for t in terms]
+    assert to_expression(p) == "|".join(terms)
     assert list(gens) == sorted(gens, key=lambda g: (len(g), g))
 
 
