@@ -10,7 +10,8 @@ Library layout:
   bba        mass assignments (stored by atom bitset), belief, plausibility
   model      integrity constraints, equivalence classes, compression
   rules      DSm classic/hybrid rules, DST baselines, Bayesian mixture:
-             one fold over packed integer states, keyed per rule
+             one fold over packed integer states, run three times for
+             the hybrid rule's S1, S2 and S3
   dynamic    staged fusion sessions with frame growth and re-constraining
   render     text and CSV tables shared by the CLI and the worked examples
   cli        command-line interface
@@ -30,6 +31,7 @@ from .dynamic import (
 from .exprparse import parse
 from .lattice import (
     ENUMERATION_LIMIT,
+    FOLD_LIMIT,
     FRAME_LIMIT,
     Frame,
     Proposition,

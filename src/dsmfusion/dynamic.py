@@ -1,12 +1,12 @@
 """Dynamic fusion: frame growth, staged sources and constraint changes.
 
-A session keeps the rules' hybrid fold states of its sources, not their
-combination, because a constraint arriving later must re-route the same
-products through the hybrid transfer; a constraint-only stage does just
-that.  A new source first seals the states into their classic combination,
-then folds in.  Frame growth appends names and carries the states over
-(`rules._map_states`), embedding each distinct mask once; embedding
-commutes with meet, join and u().  The states stay opaque here.
+A session keeps the focal tables of its sources (atom bitset -> mass),
+not their combination, because a constraint arriving later must re-run
+the hybrid transfer over the same tuples; a constraint-only stage just
+folds the same tables under the new model.  A new source first seals the
+tables into their classic (S1) fold, which becomes its one companion
+table.  Frame growth embeds each distinct mask of every table once;
+embedding commutes with meet, join and u(), so the folds are unchanged.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .errors import FrameMismatch, MissingName, RuleNotApplicable, ScenarioError
 from .exprparse import parse
 from .lattice import Frame, Proposition, _proposition, build_frame, from_generators, to_expression
 from .model import build_model, compress
-from .rules import (HybridBreakdown, _classic_masses, _common_frame, _hybrid_breakdown, _hybrid_states,
-                    _map_states)
+from .rules import HybridBreakdown, _classic_fold, _common_frame, _hybrid_breakdown
 
 
 def embed_proposition(p: Proposition, new: Frame) -> Proposition:
@@ -109,7 +108,7 @@ class SessionResult:
 @dataclass
 class FusionSession:
     frame: Frame
-    states: dict  # the rules' hybrid fold states (packed ints) of every source so far
+    tables: list  # the focal tables (atom bitset -> mass) folded since the last seal
     constraint_exprs: tuple[str, ...] = ()
     rule: str = "dsmh"
     smets_mode: bool = False  # set once any source is open-world
@@ -124,20 +123,21 @@ class FusionSession:
         rule: str = "dsmh",
     ) -> "FusionSession":
         embedded = [embed(src, src.frame, frame) for src in sources]
-        states = _hybrid_states(_common_frame(embedded), embedded)
-        session = cls(frame, states, tuple(constraints), rule, any(m.smets_mode for m in sources))
+        _common_frame(embedded)  # at least two sources
+        session = cls(frame, [m._masses for m in embedded], tuple(constraints), rule,
+                      any(m.smets_mode for m in sources))
         session._combine("t0")
         return session
 
     def _combine(self, label: str) -> SessionResult:
         model = build_model(self.frame, [parse(self.frame, c) for c in self.constraint_exprs])
         if self.rule == "dsmh":
-            breakdown = _hybrid_breakdown(self.frame, self.states, model)
+            breakdown = _hybrid_breakdown(self.frame, self.tables, model)
             result = compress(model, breakdown.result)
         elif self.rule == "dsmc":
             if not model.is_free:
                 raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
-            masses = _classic_masses(self.frame, self.states)
+            masses = _classic_fold(self.frame, self.tables)
             result = MassAssignment._from_masks(self.frame, masses, smets_mode=self.smets_mode)
             breakdown = None
         else:
@@ -151,10 +151,11 @@ class FusionSession:
         if stage.add_elements:
             old, new = self.frame, build_frame(self.frame.names + tuple(stage.add_elements))
             embed_mask = cache(lambda mask: embed_proposition(_proposition(old, mask), new).mask)
-            self.frame, self.states = new, _map_states(self.states, old, new, embed_mask)
+            self.frame = new
+            self.tables = [{embed_mask(mask): v for mask, v in t.items()} for t in self.tables]
         if stage.add_source is not None:
             src = embed(stage.add_source, stage.add_source.frame, self.frame)
-            self.states = _hybrid_states(self.frame, [src], self.states)
+            self.tables = [_classic_fold(self.frame, self.tables), src._masses]
             self.smets_mode = self.smets_mode or src.smets_mode
         if stage.set_constraints is not None:
             self.constraint_exprs = tuple(stage.set_constraints)

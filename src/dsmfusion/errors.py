@@ -29,6 +29,10 @@ class FrameTooLarge(DsmError):
     pass
 
 
+class CombinationTooLarge(DsmError):
+    """A combination fold step would exceed FOLD_LIMIT (states x focal sets x state bits)."""
+
+
 class NotAnElement(DsmError):
     """Not an element of a frame's hyper-power set.
 

@@ -67,6 +67,14 @@ ENUMERATION_LIMIT = 5
 #: takes about 0.25 s and 30 MB on a 2-vCPU VM.
 FRAME_LIMIT = 18
 
+#: Budget on one step of a combination fold: states x focal sets x state
+#: bits, checked before the step runs (`CombinationTooLarge` past it).  A
+#: step makes at most states x focal sets states that many bits wide, so
+#: this bounds its time and memory.  A random hybrid fusion of 6 sources x
+#: 4 focal sets at n=16 peaks at 5.2e8 (1 s, 130 MB on a 2-vCPU VM); a 7th
+#: source would take 2.0e9.
+FOLD_LIMIT = 2**30
+
 #: Entries kept by each cache that generators read: the up-closures of
 #: single atoms, keyed by frame size and digit bitset, and `_digit_tuple`,
 #: keyed by digit bitset alone.  Each holds every key of every frame up to

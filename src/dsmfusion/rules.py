@@ -1,29 +1,26 @@
 """Combination rules: DSm classic and hybrid, plus the DST family.
 
-Every rule reads one conjunctive fold over the sources' focal sets.  A
-tuple of focal elements matters only through its product mass and a few
-associative masks, which each rule packs into one integer state.  A rule
+Every rule reads conjunctive folds over the sources' focal sets.  A tuple
+of focal elements matters only through its product mass and a few
+associative masks, which a fold packs into one integer state.  A rule
 turns every focal set into a row (a, o, value); the fold takes the sources
 one at a time, steps each state s to s & a | o with mass times value, and
 sums the mass reaching each state exactly (`fsum`).  Its work tracks the
-distinct states rather than the number of tuples.  The states per rule:
+distinct states rather than the number of tuples; `FOLD_LIMIT` bounds it.
 
-  * dsm_classic: the free-lattice intersection (meet), an atom bitset;
-  * dsm_hybrid, bayesian_mixture and sessions: meet | join << w |
-    ∪u << 2w, where w is the frame's atom count, join the free-lattice
-    union and ∪u the union of the members' u(), kept as a digit bitset
-    (the OR of the generators' digit bitsets, n bits);
-  * the DST rules: the AND of the focal sets' singleton digit sets, and
-    for dubois_prade also their OR above it (<< n).
+The hybrid rule m(A) = φ(A)[S1(A) + S2(A) + S3(A)] runs one fold per term,
+each holding only what the term reads (w is the frame's atom count):
 
-Only this module reads the packed states.  The hybrid rule routes each
-state under the model:
+  * S1, the classic rule (also `dsm_classic` and session seals): the
+    free-lattice intersection (meet), an atom bitset;
+  * S3: the meet on the model's surviving atoms | the free-lattice union
+    (join) << w; a tuple whose surviving meet is 0 books on its join;
+  * S2: the union of u() over model-empty focal sets only, as a digit
+    bitset (n bits), so it runs only when every source has one.  It books
+    on that union of singletons, or on total ignorance when that is empty.
 
-  * S1 books its mass on the meet (the classic rule);
-  * S2, when the join (so every member) is empty under the model, books it
-    on ∪u expanded to its singletons' union (or on total ignorance when
-    that is itself empty);
-  * S3, when the meet is empty under the model, books it on the join.
+The DST rules fold the AND of the focal sets' singleton digit sets, and
+for dubois_prade also their OR above it (<< n).
 
 The three tables keep their entries on model-empty rows, so a breakdown
 can show where constrained mass sat before the transfer; the final mass
@@ -43,6 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .bba import MassAssignment, is_power_set_element, require_power_set
 from .errors import (
+    CombinationTooLarge,
     FewerThanTwoSources,
     FrameMismatch,
     FullContradiction,
@@ -51,7 +49,8 @@ from .errors import (
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
-from .lattice import Frame, Proposition, _proposition, _singletons_union, _u_digits, total_ignorance
+from .lattice import (FOLD_LIMIT, Frame, Proposition, _proposition, _singletons_union, _u_digits,
+                      total_ignorance)
 from .model import HybridModel
 
 #: CLI rule-selection strings.
@@ -72,10 +71,17 @@ def _fsums(table: dict) -> dict:
     return {key: fsum(vals) for key, vals in table.items()}
 
 
-def _fold(start: int, sources: Iterable[list[tuple[int, int, float]]]) -> dict[int, float]:
-    """Fold sources of (a, o, value) rows into states: s becomes s & a | o, mass summed exactly."""
+def _fold(start: int, sources: Iterable[list[tuple[int, int, float]]], bits: int) -> dict[int, float]:
+    """Fold sources of (a, o, value) rows into states: s becomes s & a | o, mass summed exactly.
+
+    A step of states x rows x `bits` (the states' width) past FOLD_LIMIT is refused.
+    """
     states = {start: 1.0}
     for rows in sources:
+        if len(states) * len(rows) * bits > FOLD_LIMIT:
+            raise CombinationTooLarge(
+                f"a fold step of {len(states)} states x {len(rows)} focal sets x {bits} bits "
+                f"exceeds FOLD_LIMIT = {FOLD_LIMIT}")
         step: dict[int, list[float]] = {}
         for state, mass in states.items():
             for a, o, value in rows:
@@ -84,42 +90,10 @@ def _fold(start: int, sources: Iterable[list[tuple[int, int, float]]]) -> dict[i
     return states
 
 
-def _hybrid_states(frame: Frame, ms: Sequence[MassAssignment], past: dict | None = None) -> dict:
-    """Hybrid fold states of the sources, folded after an earlier fold's states if given.
-
-    A focal set steps the state by meet &= mask, join |= mask, ∪u |= the
-    digits of u(mask); the AND passes the join and ∪u fields through.
-    """
-    tables = [m._masses.items() for m in ms]
-    if past is not None:
-        # an earlier fold's states enter sealed: their classic combination is the first source
-        tables.insert(0, _classic_masses(frame, past).items())
-    n, w = frame.n, frame.atom_count
-    keep = ((1 << (w + n)) - 1) << w
-    return _fold(frame.full_mask, ([(mask | keep, mask << w | _u_digits(n, mask) << 2 * w, v)
-                                    for mask, v in table] for table in tables))
-
-
-def _classic_masses(frame: Frame, states: dict[int, float]) -> dict[int, float]:
-    """The classic rule on hybrid fold states: each state's mass on its meet."""
-    full = frame.full_mask
-    sums: dict[int, list[float]] = {}
-    for state, mass in states.items():
-        sums.setdefault(state & full, []).append(mass)
-    return _fsums(sums)
-
-
-def _map_states(states: dict, old: Frame, new: Frame, embed_mask) -> dict:
-    """Carry hybrid states onto a frame grown by appending names.
-
-    An embedding commutes with meet and join; ∪u's digits keep their
-    positions, since the old names keep theirs.
-    """
-    w_old, w_new = old.atom_count, new.atom_count
-    full = old.full_mask
-    return {embed_mask(s & full) | embed_mask(s >> w_old & full) << w_new
-            | (s >> 2 * w_old) << 2 * w_new: mass
-            for s, mass in states.items()}
+def _classic_fold(frame: Frame, tables: Sequence[Mapping[int, float]]) -> dict[int, float]:
+    """The classic rule on focal tables keyed by atom bitset: each tuple's mass on its meet."""
+    return _fold(frame.full_mask, ([(mask, 0, v) for mask, v in t.items()] for t in tables),
+                 frame.atom_count)
 
 
 def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
@@ -128,7 +102,7 @@ def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     Iterates over focal sets only.  Commutative and associative.
     """
     frame = _common_frame(ms)
-    states = _fold(frame.full_mask, ([(mask, 0, v) for mask, v in m._masses.items()] for m in ms))
+    states = _classic_fold(frame, [m._masses for m in ms])
     return MassAssignment._from_masks(frame, states, smets_mode=any(m.smets_mode for m in ms))
 
 
@@ -153,36 +127,40 @@ class HybridBreakdown:
     s3 = cached_property(lambda self: self._table(2))
 
 
-def _route(frame: Frame, states: dict, model: HybridModel) -> tuple[tuple, dict]:
-    """Route the fold's states through S1, S2 and S3 under one model, by atom bitset.
-
-    Returns the three tables and the gated result: their sum on every key
-    that is not empty under the model.
-    """
+def _hybrid_tables(frame: Frame, tables: Sequence[Mapping[int, float]], model: HybridModel,
+                   s1: dict | None = None) -> tuple[dict, dict, dict]:
+    """S1, S2 and S3 of focal tables keyed by atom bitset under one model; S1 is folded unless given."""
     n, w, full = frame.n, frame.atom_count, frame.full_mask
     alive = full & ~model.empty_mask
-    s1: dict[int, list[float]] = {}
+    if s1 is None:
+        s1 = _classic_fold(frame, tables)
+    keep = full << w
+    states = _fold(alive, ([(mask | keep, mask << w, v) for mask, v in t.items()] for t in tables), 2 * w)
+    s3 = {state >> w: mass for state, mass in states.items() if not state & full}  # join << w alone
+    dead = [[(mask, v) for mask, v in t.items() if not mask & alive] for t in tables]
     s2: dict[int, list[float]] = {}
-    s3: dict[int, list[float]] = {}
-    for state, mass in states.items():
-        meet = state & full
-        join = state >> w & full
-        s1.setdefault(meet, []).append(mass)
-        if not join & alive:
-            target = _singletons_union(n, state >> 2 * w)
+    if all(dead):
+        low = (1 << n) - 1
+        unions = _fold(0, ([(low, _u_digits(n, mask), v) for mask, v in rows] for rows in dead), n)
+        for digits, mass in unions.items():
+            target = _singletons_union(n, digits)
             s2.setdefault(target if target & alive else full, []).append(mass)
-        if not meet & alive:
-            s3.setdefault(join, []).append(mass)
-    s1, s2, s3 = _fsums(s1), _fsums(s2), _fsums(s3)
-    gated = {mask: fsum((s1.get(mask, 0.0), s2.get(mask, 0.0), s3.get(mask, 0.0)))
-             for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}
-    return (s1, s2, s3), gated
+    return s1, _fsums(s2), s3
 
 
-def _hybrid_breakdown(frame: Frame, states: dict, model: HybridModel) -> HybridBreakdown:
-    """Route the fold's states under one model and gate the result."""
-    tables, gated = _route(frame, states, model)
-    return HybridBreakdown(model, MassAssignment._from_masks(frame, gated), tables)
+def _gate(model: HybridModel, tables: tuple[dict, dict, dict]) -> dict[int, float]:
+    """The hybrid result: the sum of S1, S2 and S3 on every key not empty under the model."""
+    s1, s2, s3 = tables
+    alive = model.frame.full_mask & ~model.empty_mask
+    return {mask: fsum((s1.get(mask, 0.0), s2.get(mask, 0.0), s3.get(mask, 0.0)))
+            for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}
+
+
+def _hybrid_breakdown(frame: Frame, tables: Sequence[Mapping[int, float]],
+                      model: HybridModel) -> HybridBreakdown:
+    """The hybrid rule on focal tables keyed by atom bitset, under one model."""
+    parts = _hybrid_tables(frame, tables, model)
+    return HybridBreakdown(model, MassAssignment._from_masks(frame, _gate(model, parts)), parts)
 
 
 def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakdown:
@@ -194,7 +172,7 @@ def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakd
     frame = _common_frame(ms)
     if model.frame != frame:
         raise FrameMismatch("model frame differs from the sources' frame")
-    return _hybrid_breakdown(frame, _hybrid_states(frame, ms), model)
+    return _hybrid_breakdown(frame, [m._masses for m in ms], model)
 
 
 def _conjunctive_power_set(ms: Sequence[MassAssignment], joins: bool = False) -> tuple[Frame, dict]:
@@ -213,7 +191,7 @@ def _conjunctive_power_set(ms: Sequence[MassAssignment], joins: bool = False) ->
     above = low << frame.n if joins else 0
     sources = ([(mask & low | above, (mask & low) << frame.n if joins else 0, v)
                 for mask, v in m._masses.items()] for m in ms)
-    return frame, _fold(low, sources)
+    return frame, _fold(low, sources, 2 * frame.n if joins else frame.n)
 
 
 def _split_conflict(frame: Frame, states: dict[int, float]) -> tuple[dict, float]:
@@ -326,7 +304,7 @@ class MixtureSpec:
 def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAssignment:
     """Probability-weighted average of the per-model hybrid results.
 
-    The sources are folded once and the states routed under each model.
+    The classic fold (S1) runs once, S2 and S3 once per model.
     Mixing happens on uncompressed lattice keys; per-model compression
     would merge classes differently per model and is deliberately not
     applied before the mixture.
@@ -334,9 +312,10 @@ def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAss
     frame = _common_frame(ms)
     if spec.entries[0][0].frame != frame:
         raise FrameMismatch("mixture models are not on the sources' frame")
-    states = _hybrid_states(frame, ms)
+    tables = [m._masses for m in ms]
+    s1 = _classic_fold(frame, tables)
     sums: dict[int, list[float]] = {}
     for model, prob in spec.entries:
-        for mask, value in _route(frame, states, model)[1].items():
+        for mask, value in _gate(model, _hybrid_tables(frame, tables, model, s1)).items():
             sums.setdefault(mask, []).append(prob * value)
     return MassAssignment._from_masks(frame, _fsums(sums))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import combinations
 from math import fsum, isfinite
 from unittest import mock
 
@@ -61,6 +62,19 @@ def with_extra_mass(text):
     doc = json.loads(json.dumps(SCENARIO_AB))
     doc["sources"][0]["masses"].append({"prop": "a&b", "mass": text})
     return doc
+
+
+def past_fold_limit():
+    """Two sources on 18 singletons, 65 and 64 focal sets.
+
+    The classic fold's second step would take 65 meets of 2^18 - 1 atom
+    bits through 64 focal sets: 1.09e9 bits of work, just past FOLD_LIMIT.
+    """
+    names = [f"t{i}" for i in range(1, 19)]
+    props = names + [f"{a}&{b}" for a, b in combinations(names, 2)]
+    a = [{"prop": p, "mass": "0.015"} for p in props[1:65]] + [{"prop": props[0], "mass": "0.04"}]
+    b = [{"prop": p, "mass": "0.015625"} for p in props[:64]]
+    return {"frame": names, "sources": [{"name": "a", "masses": a}, {"name": "b", "masses": b}]}
 
 
 def with_first_masses(*rows):
@@ -211,6 +225,7 @@ class TestCombine:
         pytest.param(dict(SCENARIO_AB, mixture=5), id="mixture-not-list"),
         pytest.param(dict(SCENARIO_AB, constraints=["a&b"], mixture=[{"probability": "1"}]),
                      id="mixture-top-level-constraints"),
+        pytest.param(past_fold_limit(), id="past-fold-limit"),
     ])
     def test_malformed_scenarios_exit_2(self, scenario_file, doc):
         path = scenario_file(doc)

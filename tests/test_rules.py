@@ -12,6 +12,7 @@ from dsmfusion import (
     MassAssignment,
     MixtureSpec,
     Proposition,
+    Stage,
     bayesian_mixture,
     build_frame,
     build_model,
@@ -26,6 +27,7 @@ from dsmfusion import (
     lefevre_combine,
     leq,
     parse,
+    run_session,
     shafer_model,
     singleton,
     smets,
@@ -44,6 +46,7 @@ from dsmfusion.errors import (
     WeightsNotNormalized,
 )
 from conftest import SOURCE_A, SOURCE_B, assignment, random_bba, random_proposition
+from test_dynamic import assert_same_table, oracle_session
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -685,8 +688,66 @@ def test_every_rule_matches_tuple_walk(seed, n, k):
     assert_same_masses(lefevre_combine(*ps[:2], weights), lefevre_want)
 
 
+def with_dead_share(rng, frame, k, dead):
+    """k random assignments, each moving a random share of its mass onto the expression `dead`."""
+    out = []
+    for _ in range(k):
+        share = rng.uniform(0.1, 0.4)
+        table = {p: v * (1 - share) for p, v in random_bba(rng, frame, max_focal=3).items()}
+        d = parse(frame, dead)
+        table[d] = table.get(d, 0.0) + share
+        out.append(MassAssignment(frame, table))
+    return out
+
+
+@pytest.mark.parametrize("n, k, constraints", [
+    (4, 4, ("t1&t2",)),   # u(t1&t2) = t1|t2 survives: S2 books on it
+    (5, 5, ("t1", "t2")),  # t1|t2 is empty too: S2 books on total ignorance
+])
+def test_three_folds_match_tuple_oracle(n, k, constraints):
+    """S1, S2 and S3, a two-model mixture and a staged session with frame growth, at n=4-5.
+
+    Every source holds the model-empty t1&t2, so the S2 fold runs.
+    """
+    rng = random.Random(n)
+    frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+    model = model_for(frame, *constraints)
+    ms = with_dead_share(rng, frame, k, "t1&t2")
+    bd = dsm_hybrid(ms, model)
+    want = oracle_tuples(ms, model)
+    for got, table in zip((bd.s1, bd.s2, bd.s3), want):
+        assert_same_table(got, table)
+    # the tuple of t1&t2 alone books on u(t1&t2) = t1|t2, or on total ignorance when that is empty
+    target = u_of(parse(frame, "t1&t2"))
+    assert bd.s2[total_ignorance(frame) if model.is_empty(target) else target] > 0.0
+    assert_same_masses(bd.result, gated(model, want))
+
+    other = model_for(frame, "t3&t4")
+    mix = bayesian_mixture(ms, MixtureSpec(((model, 0.3), (other, 0.7))))
+    parts = [(0.3, gated(model, want)), (0.7, gated(other, oracle_tuples(ms, other)))]
+    keys = set().union(*(part for _, part in parts))
+    assert_same_masses(mix, {p: fsum(prob * part.get(p, 0.0) for prob, part in parts) for p in keys})
+
+    small = build_frame(frame.names[:-1])
+    stages = [Stage("grow", add_elements=frame.names[-1:], add_source=ms[-1]),
+              Stage("swap", set_constraints=("t3&t4",)),
+              Stage("late", add_source=with_dead_share(rng, small, 1, "t1&t2")[0],
+                    set_constraints=constraints)]
+    start = with_dead_share(rng, small, k - 1, "t1&t2")
+    session = run_session(small, start, stages, constraints=constraints)
+    results, breakdowns = oracle_session(small, start, stages, "dsmh", constraints)
+    for rec, result, breakdown in zip(session.history, results, breakdowns, strict=True):
+        assert_same_table(rec.result, result)
+        for table in ("s1", "s2", "s3", "result"):
+            assert_same_table(getattr(rec.breakdown, table), getattr(breakdown, table))
+
+
 def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
-    """Only the hybrid state reads ∪u, so only it extracts generators."""
+    """Only the hybrid rule's S2 fold reads u(), over model-empty focal sets alone.
+
+    It runs only when every source has one, so the free model extracts no
+    generators, nor does a model that empties focal sets of one source only.
+    """
     ms = [assignment(frame3, SOURCE_A), assignment(frame3, SOURCE_B)]
     ps = [assignment(frame3, {"t1": 0.3, "t2|t3": 0.7}), assignment(frame3, {"t2": 0.6, "t1|t3": 0.4})]
 
@@ -701,5 +762,7 @@ def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
     smets(*ps)
     dubois_prade(*ps)
     lefevre_combine(*ps, {total_ignorance(frame3): 1.0})
+    dsm_hybrid(ms, build_model(frame3, []))
+    dsm_hybrid(ms, model_for(frame3, "t1&t3"))  # empties SOURCE_A's t1&t3 only
     with pytest.raises(AssertionError, match="generators extracted"):
-        dsm_hybrid(ms, build_model(frame3, []))
+        dsm_hybrid(ms, model_for(frame3, "t1&t2"))
