@@ -10,9 +10,9 @@ Library layout:
   bba        mass assignments (stored by atom bitset), belief, plausibility
   model      integrity constraints, equivalence classes, compression
   rules      DSm classic/hybrid rules, DST baselines, Bayesian mixture:
-             one fold over packed integer states, run three times for
-             the hybrid rule's S1, S2 and S3
-  dynamic    staged fusion sessions with frame growth and re-constraining
+             the classic fold (S1) under all, on Shafer's singleton atoms
+             for DST; Dubois-Prade is the hybrid rule under Shafer's model
+  dynamic    staged sessions (frame growth, re-constraining) keeping S1
   render     text and CSV tables shared by the CLI and the worked examples
   cli        command-line interface
 """

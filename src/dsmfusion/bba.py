@@ -147,22 +147,23 @@ def complement(p: Proposition) -> Proposition:
     return _proposition(p.frame, _singletons_in(p.frame.n, ~p.mask))
 
 
-def bel(m: MassAssignment, a: Proposition) -> float:
-    """Belief of a: total mass of focal sets below a (power-set support only)."""
+def _require_power_set_query(m: MassAssignment, a: Proposition) -> None:
+    """The checks of bel and pl: m and a are on the power set of one frame."""
     require_power_set(m)
     if a.frame != m.frame:
         raise FrameMismatch("proposition is not on the assignment's frame")
     if not is_power_set_element(a):
         raise NotPowerSetSupport(f"{a} is not a union of singletons")
+
+
+def bel(m: MassAssignment, a: Proposition) -> float:
+    """Belief of a: total mass of focal sets below a (power-set support only)."""
+    _require_power_set_query(m, a)
     return fsum(v for p, v in m.focal if leq(p, a))
 
 
 def pl(m: MassAssignment, a: Proposition) -> float:
     """Plausibility of a: total mass of focal sets meeting a within the power set."""
-    require_power_set(m)
-    if a.frame != m.frame:
-        raise FrameMismatch("proposition is not on the assignment's frame")
-    if not is_power_set_element(a):
-        raise NotPowerSetSupport(f"{a} is not a union of singletons")
+    _require_power_set_query(m, a)
     # p meets a in the power set when p & a keeps a singleton atom
     return fsum(v for p, v in m.focal if _singletons_in(m.frame.n, p.mask & a.mask))

@@ -2,11 +2,11 @@
 
 A session keeps the focal tables of its sources (atom bitset -> mass),
 not their combination, because a constraint arriving later must re-run
-the hybrid transfer over the same tuples; a constraint-only stage just
-folds the same tables under the new model.  A new source first seals the
-tables into their classic (S1) fold, which becomes its one companion
-table.  Frame growth embeds each distinct mask of every table once;
-embedding commutes with meet, join and u(), so the folds are unchanged.
+the hybrid transfer over the same tuples.  It keeps their classic (S1)
+fold too: a new source and the previous S1 become the tables, folded
+once; every other stage and `dsmc` read S1 as it is.  Frame
+growth embeds each distinct mask of the tables and of S1 once; embedding
+commutes with meet, join and u(), so the folds are unchanged.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ class SessionResult:
 class FusionSession:
     frame: Frame
     tables: list  # the focal tables (atom bitset -> mass) folded since the last seal
+    s1: dict  # the classic fold of `tables`
     constraint_exprs: tuple[str, ...] = ()
     rule: str = "dsmh"
     smets_mode: bool = False  # set once any source is open-world
@@ -124,7 +125,8 @@ class FusionSession:
     ) -> "FusionSession":
         embedded = [embed(src, src.frame, frame) for src in sources]
         _common_frame(embedded)  # at least two sources
-        session = cls(frame, [m._masses for m in embedded], tuple(constraints), rule,
+        tables = [m._masses for m in embedded]
+        session = cls(frame, tables, _classic_fold(tables, frame.full_mask), tuple(constraints), rule,
                       any(m.smets_mode for m in sources))
         session._combine("t0")
         return session
@@ -132,13 +134,12 @@ class FusionSession:
     def _combine(self, label: str) -> SessionResult:
         model = build_model(self.frame, [parse(self.frame, c) for c in self.constraint_exprs])
         if self.rule == "dsmh":
-            breakdown = _hybrid_breakdown(self.frame, self.tables, model)
+            breakdown = _hybrid_breakdown(self.frame, self.tables, model, self.s1)
             result = compress(model, breakdown.result)
         elif self.rule == "dsmc":
             if not model.is_free:
                 raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
-            masses = _classic_fold(self.frame, self.tables)
-            result = MassAssignment._from_masks(self.frame, masses, smets_mode=self.smets_mode)
+            result = MassAssignment._from_masks(self.frame, self.s1, smets_mode=self.smets_mode)
             breakdown = None
         else:
             raise RuleNotApplicable(f"rule {self.rule!r} cannot drive a session")
@@ -152,10 +153,12 @@ class FusionSession:
             old, new = self.frame, build_frame(self.frame.names + tuple(stage.add_elements))
             embed_mask = cache(lambda mask: embed_proposition(_proposition(old, mask), new).mask)
             self.frame = new
-            self.tables = [{embed_mask(mask): v for mask, v in t.items()} for t in self.tables]
+            self.s1, *self.tables = [{embed_mask(mask): v for mask, v in t.items()}
+                                     for t in (self.s1, *self.tables)]
         if stage.add_source is not None:
             src = embed(stage.add_source, stage.add_source.frame, self.frame)
-            self.tables = [_classic_fold(self.frame, self.tables), src._masses]
+            self.tables = [self.s1, src._masses]
+            self.s1 = _classic_fold(self.tables, self.frame.full_mask)
             self.smets_mode = self.smets_mode or src.smets_mode
         if stage.set_constraints is not None:
             self.constraint_exprs = tuple(stage.set_constraints)

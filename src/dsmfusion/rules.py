@@ -11,16 +11,19 @@ distinct states rather than the number of tuples; `FOLD_LIMIT` bounds it.
 The hybrid rule m(A) = φ(A)[S1(A) + S2(A) + S3(A)] runs one fold per term,
 each holding only what the term reads (w is the frame's atom count):
 
-  * S1, the classic rule (also `dsm_classic` and session seals): the
-    free-lattice intersection (meet), an atom bitset;
+  * S1, the classic rule (also `dsm_classic`, the mixture and session
+    seals): the free-lattice intersection (meet), an atom bitset;
   * S3: the meet on the model's surviving atoms | the free-lattice union
     (join) << w; a tuple whose surviving meet is 0 books on its join;
   * S2: the union of u() over model-empty focal sets only, as a digit
     bitset (n bits), so it runs only when every source has one.  It books
     on that union of singletons, or on total ignorance when that is empty.
 
-The DST rules fold the AND of the focal sets' singleton digit sets, and
-for dubois_prade also their OR above it (<< n).
+S1 is folded once and handed to S2 and S3, which read only tuples whose
+meet is empty under the model: when no S1 key is, neither of them runs.
+The DST rules are the classic fold on Shafer's surviving atoms, the
+singleton atoms (the low n bits), and Dubois-Prade is the hybrid rule
+under Shafer's model, compressed to the power set.
 
 The three tables keep their entries on model-empty rows, so a breakdown
 can show where constrained mass sat before the transfer; the final mass
@@ -51,7 +54,7 @@ from .errors import (
 )
 from .lattice import (FOLD_LIMIT, Frame, Proposition, _proposition, _singletons_union, _u_digits,
                       total_ignorance)
-from .model import HybridModel
+from .model import HybridModel, compress, shafer_model
 
 #: CLI rule-selection strings.
 RULE_NAMES = ("dsmc", "dsmh", "dempster", "yager", "smets", "dubois-prade", "mixture")
@@ -90,10 +93,9 @@ def _fold(start: int, sources: Iterable[list[tuple[int, int, float]]], bits: int
     return states
 
 
-def _classic_fold(frame: Frame, tables: Sequence[Mapping[int, float]]) -> dict[int, float]:
-    """The classic rule on focal tables keyed by atom bitset: each tuple's mass on its meet."""
-    return _fold(frame.full_mask, ([(mask, 0, v) for mask, v in t.items()] for t in tables),
-                 frame.atom_count)
+def _classic_fold(tables: Sequence[Mapping[int, float]], alive: int) -> dict[int, float]:
+    """The classic rule on focal tables keyed by atom bitset: each tuple's mass on its meet & alive."""
+    return _fold(alive, ([(mask, 0, v) for mask, v in t.items()] for t in tables), alive.bit_length())
 
 
 def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
@@ -102,7 +104,7 @@ def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     Iterates over focal sets only.  Commutative and associative.
     """
     frame = _common_frame(ms)
-    states = _classic_fold(frame, [m._masses for m in ms])
+    states = _classic_fold([m._masses for m in ms], frame.full_mask)
     return MassAssignment._from_masks(frame, states, smets_mode=any(m.smets_mode for m in ms))
 
 
@@ -128,12 +130,12 @@ class HybridBreakdown:
 
 
 def _hybrid_tables(frame: Frame, tables: Sequence[Mapping[int, float]], model: HybridModel,
-                   s1: dict | None = None) -> tuple[dict, dict, dict]:
-    """S1, S2 and S3 of focal tables keyed by atom bitset under one model; S1 is folded unless given."""
+                   s1: dict) -> tuple[dict, dict, dict]:
+    """S1, S2 and S3 of focal tables keyed by atom bitset under one model, given their S1."""
     n, w, full = frame.n, frame.atom_count, frame.full_mask
     alive = full & ~model.empty_mask
-    if s1 is None:
-        s1 = _classic_fold(frame, tables)
+    if all(mask & alive for mask in s1):
+        return s1, {}, {}
     keep = full << w
     states = _fold(alive, ([(mask | keep, mask << w, v) for mask, v in t.items()] for t in tables), 2 * w)
     s3 = {state >> w: mass for state, mass in states.items() if not state & full}  # join << w alone
@@ -156,10 +158,10 @@ def _gate(model: HybridModel, tables: tuple[dict, dict, dict]) -> dict[int, floa
             for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}
 
 
-def _hybrid_breakdown(frame: Frame, tables: Sequence[Mapping[int, float]],
-                      model: HybridModel) -> HybridBreakdown:
-    """The hybrid rule on focal tables keyed by atom bitset, under one model."""
-    parts = _hybrid_tables(frame, tables, model)
+def _hybrid_breakdown(frame: Frame, tables: Sequence[Mapping[int, float]], model: HybridModel,
+                      s1: dict) -> HybridBreakdown:
+    """The hybrid rule on focal tables keyed by atom bitset, under one model, given their S1."""
+    parts = _hybrid_tables(frame, tables, model, s1)
     return HybridBreakdown(model, MassAssignment._from_masks(frame, _gate(model, parts)), parts)
 
 
@@ -172,33 +174,28 @@ def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakd
     frame = _common_frame(ms)
     if model.frame != frame:
         raise FrameMismatch("model frame differs from the sources' frame")
-    return _hybrid_breakdown(frame, [m._masses for m in ms], model)
+    tables = [m._masses for m in ms]
+    return _hybrid_breakdown(frame, tables, model, _classic_fold(tables, frame.full_mask))
 
 
-def _conjunctive_power_set(ms: Sequence[MassAssignment], joins: bool = False) -> tuple[Frame, dict]:
-    """Shafer-model conjunctive fold of power-set assignments, keyed by digit sets.
-
-    A power-set element is the union of the singletons named by its digit
-    set, the low n bits of its mask.  A state is the AND of the focal sets'
-    digit sets; with `joins` their OR sits above it (<< n), which is where
-    Dubois-Prade moves a conflicting product.  An AND of 0 is conflict.
-    Returns the sources' frame and the states.
-    """
+def _power_set_frame(ms: Sequence[MassAssignment]) -> Frame:
+    """The sources' common frame, once every focal set is a union of singletons."""
     frame = _common_frame(ms)
     for m in ms:
         require_power_set(m)
-    low = (1 << frame.n) - 1
-    above = low << frame.n if joins else 0
-    sources = ([(mask & low | above, (mask & low) << frame.n if joins else 0, v)
-                for mask, v in m._masses.items()] for m in ms)
-    return frame, _fold(low, sources, 2 * frame.n if joins else frame.n)
+    return frame
 
 
-def _split_conflict(frame: Frame, states: dict[int, float]) -> tuple[dict, float]:
-    """DST fold states as (the non-conflicting masses by atom bitset, the conflict)."""
+def _conjunctive_power_set(ms: Sequence[MassAssignment]) -> tuple[Frame, dict, float]:
+    """The classic fold on Shafer's singleton atoms, the low n bits: the AND of the digit sets.
+
+    Returns the sources' frame, the non-conflicting masses by atom bitset and the conflict.
+    """
+    frame = _power_set_frame(ms)
     n = frame.n
-    combined = {_singletons_union(n, digits): mass for digits, mass in states.items() if digits}
-    return combined, states.get(0, 0.0)
+    states = _classic_fold([m._masses for m in ms], (1 << n) - 1)
+    conflict = states.pop(0, 0.0)
+    return frame, {_singletons_union(n, digits): mass for digits, mass in states.items()}, conflict
 
 
 def dempster(ms: Sequence[MassAssignment]) -> tuple[MassAssignment, float]:
@@ -208,8 +205,7 @@ def dempster(ms: Sequence[MassAssignment]) -> tuple[MassAssignment, float]:
     conjunctive mass on EMPTY).  Raises FullContradiction when the conflict
     reaches 1 and the sum is undefined.
     """
-    frame, states = _conjunctive_power_set(ms)
-    combined, conflict = _split_conflict(frame, states)
+    frame, combined, conflict = _conjunctive_power_set(ms)
     # Normalize by the surviving mass rather than 1 - conflict; the two
     # agree exactly but the former avoids cancellation near conflict 1.
     surviving = fsum(combined.values())
@@ -243,8 +239,7 @@ def lefevre_combine(
     total_w = fsum(weights.values())
     if abs(total_w - 1.0) > 1e-9:
         raise WeightsNotNormalized(f"weights sum to {total_w!r}, expected 1")
-    frame, states = _conjunctive_power_set([m1, m2])
-    out, conflict = _split_conflict(frame, states)
+    frame, out, conflict = _conjunctive_power_set([m1, m2])
     empty_share = 0.0
     for prop, w in weights.items():
         if prop.frame != frame:
@@ -269,14 +264,14 @@ def smets(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
 
 
 def dubois_prade(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
-    """Each conflicting product moves to the union of the pair that caused it."""
-    frame, states = _conjunctive_power_set([m1, m2], joins=True)
-    n, low = frame.n, (1 << frame.n) - 1
-    out: dict[int, list[float]] = {}
-    for state, mass in states.items():
-        # the AND of the digit sets, or their OR when it is empty
-        out.setdefault(_singletons_union(n, state & low or state >> n), []).append(mass)
-    return MassAssignment._from_masks(frame, _fsums(out))
+    """Each conflicting product moves to the union of the pair that caused it.
+
+    This is the hybrid rule under Shafer's model, compressed to the power
+    set: S3 books a conflicting pair on its union, and S2 moves the product
+    of two masses on EMPTY to total ignorance.
+    """
+    model = shafer_model(_power_set_frame([m1, m2]))
+    return compress(model, dsm_hybrid([m1, m2], model).result)
 
 
 @dataclass(frozen=True)
@@ -313,7 +308,7 @@ def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAss
     if spec.entries[0][0].frame != frame:
         raise FrameMismatch("mixture models are not on the sources' frame")
     tables = [m._masses for m in ms]
-    s1 = _classic_fold(frame, tables)
+    s1 = _classic_fold(tables, frame.full_mask)
     sums: dict[int, list[float]] = {}
     for model, prob in spec.entries:
         for mask, value in _gate(model, _hybrid_tables(frame, tables, model, s1)).items():

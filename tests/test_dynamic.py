@@ -19,6 +19,7 @@ from dsmfusion import (
     to_expression,
     vacuous,
 )
+from dsmfusion import dynamic
 from dsmfusion.errors import FewerThanTwoSources, MissingName, RuleNotApplicable
 from conftest import assignment, atom_labels, random_bba
 
@@ -253,12 +254,30 @@ def test_session_matches_factor_list_oracle(data):
                 assert_same_table(getattr(rec.breakdown, table), getattr(want, table))
 
 
-def test_constraint_only_stage_keeps_the_tables(frame2):
-    """A constraint-only stage seals nothing: it folds the same focal tables under the new model."""
-    stage = Stage(at="t1", set_constraints=("t1&t2",))
-    session = FusionSession.start(frame2, dyn12_sources(frame2))
-    tables = session.tables
-    session.apply(stage)
-    assert session.tables is tables
-    results, _ = oracle_session(frame2, dyn12_sources(frame2), [stage])
-    assert_same_table(session.current.result, results[-1])
+def test_constraint_only_stage_keeps_the_tables(frame2, frame3, monkeypatch):
+    """A constraint-only stage seals nothing: it folds the same focal tables under the new model.
+
+    The session folds the classic rule (S1) once per source that changes
+    its tables, and reads that S1 as it is on a constraint-only or
+    grow-only stage, under `dsmh` and `dsmc` alike.
+    """
+    folds = []
+    classic_fold = dynamic._classic_fold
+    monkeypatch.setattr(dynamic, "_classic_fold",
+                        lambda tables, alive: folds.append(tables) or classic_fold(tables, alive))
+    m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
+    for rule, first, last in (("dsmh", ("t1&t2",), ("t3",)), ("dsmc", (), ())):
+        stages = [Stage(at="t1", set_constraints=first), Stage(at="t2", add_elements=("t3",)),
+                  Stage(at="t3", add_source=m3), Stage(at="t4", set_constraints=last)]
+        folds.clear()
+        session = FusionSession.start(frame2, dyn12_sources(frame2), rule=rule)
+        assert len(folds) == 1
+        tables = session.tables
+        session.apply(stages[0])
+        assert session.tables is tables
+        for stage, count in zip(stages[1:], (1, 2, 2)):
+            session.apply(stage)
+            assert len(folds) == count
+        results, _ = oracle_session(frame2, dyn12_sources(frame2), stages, rule)
+        for rec, result in zip(session.history, results, strict=True):
+            assert_same_table(rec.result, result)

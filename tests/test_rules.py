@@ -31,6 +31,7 @@ from dsmfusion import (
     shafer_model,
     singleton,
     smets,
+    to_expression,
     total_ignorance,
     u_of,
     vacuous,
@@ -518,6 +519,15 @@ class TestDuboisPrade:
         assert out[parse(frame, "t1|t2")] == pytest.approx(0.5)
         assert out[parse(frame, "t2|t3")] == pytest.approx(0.5)
 
+    def test_two_empty_masses_go_to_total_ignorance(self, frame2):
+        """The hybrid rule under Shafer's model: S2 moves two EMPTY masses' product to total ignorance."""
+        m1 = MassAssignment(frame2, {empty(frame2): 0.2, parse(frame2, "t1"): 0.8}, smets_mode=True)
+        m2 = MassAssignment(frame2, {empty(frame2): 0.5, parse(frame2, "t2"): 0.5}, smets_mode=True)
+        out = dubois_prade(m1, m2)
+        assert {to_expression(p): v for p, v in out.items()} == \
+            pytest.approx({"t1": 0.4, "t2": 0.1, "t1|t2": 0.5}, abs=1e-15)
+        assert not out.smets_mode
+
 
 class TestMixture:
     def test_single_entry_is_hybrid(self, frame3):
@@ -740,6 +750,29 @@ def test_three_folds_match_tuple_oracle(n, k, constraints):
         assert_same_table(rec.result, result)
         for table in ("s1", "s2", "s3", "result"):
             assert_same_table(getattr(rec.breakdown, table), getattr(breakdown, table))
+
+
+def test_hybrid_skips_s2_and_s3_without_a_model_empty_meet(frame3, monkeypatch):
+    """S2 and S3 read only tuples whose meet is empty under the model.
+
+    So the free model, or a model that empties no meet of the sources,
+    runs the S1 fold alone and no 2w-bit fold.
+    """
+    ms = [assignment(frame3, {"t1": 0.6, "t1|t2": 0.4}), assignment(frame3, {"t1|t3": 0.5, "t1": 0.5})]
+    widths = []
+    fold = rules._fold
+    monkeypatch.setattr(rules, "_fold",
+                        lambda start, sources, bits: widths.append(bits) or fold(start, sources, bits))
+    w = frame3.atom_count
+    for model in (build_model(frame3, []), model_for(frame3, "t2&t3"), model_for(frame3, "t2", "t3")):
+        widths.clear()
+        bd = dsm_hybrid(ms, model)
+        assert widths == [w]
+        assert bd.s2 == bd.s3 == {}
+        assert_same_masses(bd.result, gated(model, oracle_tuples(ms, model)))
+    widths.clear()
+    dsm_hybrid(ms, model_for(frame3, "t1"))  # empties every meet, and a focal set of each source
+    assert widths == [w, 2 * w, frame3.n]
 
 
 def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
