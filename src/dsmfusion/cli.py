@@ -129,8 +129,6 @@ def cmd_hpset(args) -> int:
 def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
     csv = args.out == "csv"
     rule = args.rule
-    if args.breakdown and rule != "dsmh":
-        raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
     if rule in ("dempster", "yager", "smets", "dubois-prade") and model.empty_mask & ((1 << frame.n) - 1):
         raise ScenarioError(f"rule {rule!r} cannot honour a constraint emptying a singleton; use 'dsmh'")
     lines = []
@@ -161,11 +159,9 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
                 raise ScenarioError(f"mixture entries need a 'probability': {ent!r}")
             constraints = [parse(frame, e) for e in _string_list(ent, "constraints")]
             pairs.append((build_model(frame, constraints), _parse_mass(ent["probability"])))
-        result = bayesian_mixture(sources, MixtureSpec(tuple(pairs)))
         if args.compress:
             raise ScenarioError("--compress is undefined for 'mixture' (no single model)")
-    else:
-        raise ScenarioError(f"unknown rule {rule!r}; choose from {', '.join(RULE_NAMES)}")
+        result = bayesian_mixture(sources, MixtureSpec(tuple(pairs)))
 
     if args.breakdown:
         lines += breakdown_lines(bd, _breakdown_rows(bd), csv)
@@ -195,16 +191,16 @@ def cmd_combine(args) -> int:
     model = build_model(frame, constraints)
 
     events = _list(doc, "events")
+    if events and args.rule not in ("dsmh", "dsmc"):
+        raise ScenarioError("scenarios with events run under 'dsmh' or 'dsmc'")
+    if args.breakdown and args.rule != "dsmh":
+        raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
     if not events:
         return _combine_static(doc, frame, sources, model, args)
 
-    if args.rule not in ("dsmh", "dsmc"):
-        raise ScenarioError("scenarios with events run under 'dsmh' or 'dsmc'")
     stages = stages_from(events, frame.names, lambda grown, obj: _source_from(obj, grown, False))
     session = run_session(frame, sources, stages, rule=args.rule,
                           constraints=constraint_exprs)
-    if args.breakdown and args.rule != "dsmh":
-        raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
     csv = args.out == "csv"
     for rec in session.history:
         _print(f"== stage {rec.label} ==" if not csv else f"# stage {rec.label}")
@@ -292,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("combine", help="combine the sources of a scenario file")
     p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    p.add_argument("--rule", default="dsmh", help=f"one of {', '.join(RULE_NAMES)}")
+    p.add_argument("--rule", choices=RULE_NAMES, default="dsmh")
     p.add_argument("--breakdown", action="store_true", help="show phi/S1/S2/S3 columns (dsmh)")
     p.add_argument("--compress", action="store_true", help="merge model-equivalent propositions")
     p.add_argument("--out", choices=("table", "csv"), default="table")

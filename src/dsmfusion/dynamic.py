@@ -79,18 +79,21 @@ def stages_from(specs, names: tuple[str, ...],
 
     `names` are the starting frame's singletons; each added source is built
     by `source_of(frame, spec["add_source"])` on the frame grown so far.  A
-    missing "at" reads "t<position>".  Malformed dicts raise ScenarioError.
+    missing "at" reads "t<position>"; a given one is a string or an integer.
+    Malformed dicts raise ScenarioError.
     """
     stages = []
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise ScenarioError(f"event #{i + 1} must be an object: {spec!r}")
-        label = str(spec.get("at", f"t{i + 1}"))
+        label = spec.get("at", f"t{i + 1}")
+        if isinstance(label, bool) or not isinstance(label, (str, int)):
+            raise ScenarioError(f"event #{i + 1} 'at' must be a string or an integer: {label!r}")
         added = _string_list(spec, "add_elements")
         names = names + added
         source = source_of(build_frame(names), spec["add_source"]) if "add_source" in spec else None
         constraints = _string_list(spec, "set_constraints") if "set_constraints" in spec else None
-        stages.append(Stage(label, added, source, constraints))
+        stages.append(Stage(str(label), added, source, constraints))
     return stages
 
 

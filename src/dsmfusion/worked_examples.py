@@ -1,15 +1,21 @@
 """Built-in worked examples with golden expected values.
 
-Every example rebuilds its inputs from embedded data, runs the advertised
-rule and compares the outcome to the expected table.  Golden values are
-rounded to 2 to 4 decimals, hence the 5e-5 comparison tolerance.  The
-reproduce CLI command renders the returned lines and the PASS/FAIL verdict.
+The examples are data.  Each of the two constraint suites (the paper's
+sources and the general sources) is one record mapping every expectation
+(classic, rows, S3 sums, uncompressed, compressed) to a dict keyed by
+model; a model missing from an expectation is not checked there.
+`RUNNERS` maps each example ID, in `reproduce`'s order, to the runner that
+rebuilds its inputs, runs the advertised rule and compares the outcome to
+the golden values.  Golden values are rounded to 2 to 4 decimals, hence
+the 5e-5 comparison tolerance.  The reproduce CLI command renders the
+report's lines and its PASS/FAIL verdict.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from math import fsum
 
 from .bba import MassAssignment
@@ -257,6 +263,15 @@ GENERAL_COMPRESSED_3 = {
     "m7": {"t2": 0.2549, "t1": 0.1121, "t1|t2": 0.6330},
 }
 
+PAPER_SUITE = {
+    "sources": SOURCES_3, "classic": {"m1": CLASSIC_3}, "rows": HYBRID_ROWS,
+    "s3_sums": S3_COLUMN_SUMS, "uncompressed": {}, "compressed": COMPRESSED_3,
+}
+GENERAL_SUITE = {
+    "sources": GENERAL_SOURCES_3, "classic": {"m1": GENERAL_CLASSIC_3}, "rows": {},
+    "s3_sums": {}, "uncompressed": GENERAL_UNCOMPRESSED_3, "compressed": GENERAL_COMPRESSED_3,
+}
+
 # Dynamic fusion examples.  Each entry: initial frame and sources, staged
 # events, and the expected (compressed) per-stage results to check.
 DYNAMIC_EXAMPLES = {
@@ -378,21 +393,22 @@ DYNAMIC_EXAMPLES = {
     },
 }
 
-EXAMPLE_IDS = (
-    tuple(f"m{i}" for i in range(1, 8))
-    + tuple(f"general-m{i}" for i in range(1, 8))
-    + ("dyn1",)
-    + tuple(f"dyn3.{i}" for i in range(1, 8))
-    + ("contradiction",)
-)
-
 
 @dataclass
 class ExampleReport:
     example_id: str
-    lines: list[str]
-    checks: int
-    max_dev: float
+    lines: list[str] = field(default_factory=list)
+    checks: int = 0
+    max_dev: float = 0.0
+
+    def close(self, actual: float, expected: float) -> None:
+        self.checks += 1
+        self.max_dev = max(self.max_dev, abs(actual - expected))
+
+    def exact(self, ok: bool) -> None:
+        self.checks += 1
+        if not ok:
+            self.max_dev = float("inf")
 
     @property
     def passed(self) -> bool:
@@ -404,78 +420,49 @@ class ExampleReport:
         return f"{status} {self.example_id} ({self.checks} checks, max dev {self.max_dev:.2e})"
 
 
-def _frame3() -> Frame:
-    return build_frame(("t1", "t2", "t3"))
-
-
 def _assignment(frame: Frame, table: dict[str, float]) -> MassAssignment:
     return MassAssignment(frame, {parse(frame, k): v for k, v in table.items()})
 
 
-def _model_for(frame: Frame, key: str):
+def _run_constraint_example(example_id: str, key: str, suite: dict) -> ExampleReport:
+    frame = build_frame(("t1", "t2", "t3"))
+    props = {expr: _parse_or_empty(frame, expr) for expr in ELEMENTS_3}
+    ms = [MassAssignment(frame, {props[e]: v for e, v in t.items()}) for t in suite["sources"]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return build_model(frame, [parse(frame, c) for c in MODEL_CONSTRAINTS[key]])
-
-
-class _Checker:
-    def __init__(self):
-        self.checks = 0
-        self.max_dev = 0.0
-
-    def close(self, actual: float, expected: float) -> None:
-        self.checks += 1
-        self.max_dev = max(self.max_dev, abs(actual - expected))
-
-    def exact(self, ok: bool) -> None:
-        self.checks += 1
-        if not ok:
-            self.max_dev = max(self.max_dev, float("inf"))
-
-
-def _run_constraint_example(example_id: str, key: str, sources, classic_expected,
-                            uncompressed_expected, compressed_expected, rows_expected,
-                            s3_sum_expected) -> ExampleReport:
-    frame = _frame3()
-    ms = [_assignment(frame, t) for t in sources]
-    model = _model_for(frame, key)
+        model = build_model(frame, [props[c] for c in MODEL_CONSTRAINTS[key]])
     bd = dsm_hybrid(ms, model)
-    check = _Checker()
-    lines: list[str] = []
+    report = ExampleReport(example_id)
 
-    if classic_expected is not None:
+    if key in suite["classic"]:
         classic = dsm_classic(ms)
-        for expr, v in classic_expected.items():
-            check.close(classic[parse(frame, expr)], v)
+        for expr, v in suite["classic"][key].items():
+            report.close(classic[props[expr]], v)
 
-    props = [_parse_or_empty(frame, expr) for expr in ELEMENTS_3]
-    lines.append(f"== {example_id}: constraint {' , '.join(MODEL_CONSTRAINTS[key])} ==")
-    lines += breakdown_lines(bd, props)
-    lines.append(column_totals(bd, props))
-    if rows_expected is not None:
-        for expr, (phi_e, s1_e, s2_e, s3_e, m_e) in rows_expected.items():
-            p = _parse_or_empty(frame, expr)
-            check.exact(bd.model.phi(p) == phi_e)
-            check.close(bd.s1.get(p, 0.0), s1_e)
-            check.close(bd.s2.get(p, 0.0), s2_e)
-            check.close(bd.s3.get(p, 0.0), s3_e)
-            check.close(bd.result[p], m_e)
-    if s3_sum_expected is not None:
-        check.close(fsum(bd.s3.values()), s3_sum_expected)
-    if uncompressed_expected is not None:
-        for expr, v in zip(ELEMENTS_3[1:], uncompressed_expected):
-            check.close(bd.result[parse(frame, expr)], v)
+    elements = list(props.values())
+    report.lines.append(f"== {example_id}: constraint {' , '.join(MODEL_CONSTRAINTS[key])} ==")
+    report.lines += breakdown_lines(bd, elements)
+    report.lines.append(column_totals(bd, elements))
+    for expr, (phi_e, s1_e, s2_e, s3_e, m_e) in suite["rows"].get(key, {}).items():
+        p = props[expr]
+        report.exact(model.phi(p) == phi_e)
+        report.close(bd.s1.get(p, 0.0), s1_e)
+        report.close(bd.s2.get(p, 0.0), s2_e)
+        report.close(bd.s3.get(p, 0.0), s3_e)
+        report.close(bd.result[p], m_e)
+    if key in suite["s3_sums"]:
+        report.close(fsum(bd.s3.values()), suite["s3_sums"][key])
+    for expr, v in zip(ELEMENTS_3[1:], suite["uncompressed"].get(key, ())):
+        report.close(bd.result[props[expr]], v)
 
-    full = {p: bd.result[p] for p in props}
-    lines.append(f"== {example_id}: compressed ==")
-    lines += compressed_lines(model, full)
-    check.exact(len(survivors(model)) == CLASS_COUNTS[key])
+    report.lines.append(f"== {example_id}: compressed ==")
+    report.lines += compressed_lines(model, {p: bd.result[p] for p in elements})
+    report.exact(len(survivors(model)) == CLASS_COUNTS[key])
     compressed = compress(model, bd.result)
-    for expr, v in compressed_expected.items():
-        check.close(compressed[model.reduce(parse(frame, expr))], v)
-    check.close(bd.result.total, 1.0)
-
-    return ExampleReport(example_id, lines, check.checks, check.max_dev)
+    for expr, v in suite["compressed"][key].items():
+        report.close(compressed[model.reduce(props[expr])], v)
+    report.close(bd.result.total, 1.0)
+    return report
 
 
 def _run_dynamic_example(key: str) -> ExampleReport:
@@ -484,12 +471,11 @@ def _run_dynamic_example(key: str) -> ExampleReport:
     sources = [_assignment(frame, t) for t in data["sources"]]
     stages = stages_from(data["stages"], frame.names, _assignment)
     session = run_session(frame, sources, stages)
-    check = _Checker()
-    lines: list[str] = []
+    report = ExampleReport(key)
     results = {rec.label: rec for rec in session.history}
     for rec in session.history:
-        lines.append(f"== {key}: stage {rec.label} ==")
-        lines += mass_lines(rec.result)
+        report.lines.append(f"== {key}: stage {rec.label} ==")
+        report.lines += mass_lines(rec.result)
     for label, expected in data["expected"].items():
         rec = results[label]
         got = rec.by_expression()
@@ -498,63 +484,51 @@ def _run_dynamic_example(key: str) -> ExampleReport:
             canon = to_expression(parse(rec.frame, expr))
             want[canon] = want.get(canon, 0.0) + v
         for k in set(got) | set(want):
-            check.close(got.get(k, 0.0), want.get(k, 0.0))
-    return ExampleReport(key, lines, check.checks, check.max_dev)
+            report.close(got.get(k, 0.0), want.get(k, 0.0))
+    return report
 
 
 def _run_contradiction_example() -> ExampleReport:
     frame = build_frame(("t1", "t2"))
     m1 = _assignment(frame, {"t1": 1.0})
     m2 = _assignment(frame, {"t2": 1.0})
-    check = _Checker()
-    lines = ["== contradiction: m1(t1)=1, m2(t2)=1 =="]
+    report = ExampleReport("contradiction", ["== contradiction: m1(t1)=1, m2(t2)=1 =="])
 
     classic = dsm_classic([m1, m2])
-    lines.append("== classic rule (free model) ==")
-    lines += mass_lines(classic)
-    check.close(classic[parse(frame, "t1&t2")], 1.0)
+    report.lines.append("== classic rule (free model) ==")
+    report.lines += mass_lines(classic)
+    report.close(classic[parse(frame, "t1&t2")], 1.0)
 
     hybrid = dsm_hybrid([m1, m2], shafer_model(frame)).result
-    lines.append("== hybrid rule (exclusive singletons) ==")
-    lines += mass_lines(hybrid)
-    check.exact(hybrid[parse(frame, "t1|t2")] == 1.0)
-    check.close(hybrid.total, 1.0)
+    report.lines.append("== hybrid rule (exclusive singletons) ==")
+    report.lines += mass_lines(hybrid)
+    report.exact(hybrid[parse(frame, "t1|t2")] == 1.0)
+    report.close(hybrid.total, 1.0)
 
     try:
         dempster([m1, m2])
     except FullContradiction:
-        lines.append("dempster: FullContradiction (conflict 1, orthogonal sum undefined)")
-        check.exact(True)
+        report.lines.append("dempster: FullContradiction (conflict 1, orthogonal sum undefined)")
+        report.exact(True)
     else:
-        lines.append("dempster: unexpectedly defined")
-        check.exact(False)
-    return ExampleReport("contradiction", lines, check.checks, check.max_dev)
+        report.lines.append("dempster: unexpectedly defined")
+        report.exact(False)
+    return report
+
+
+# Each example ID and the runner that checks it, in `reproduce`'s order.
+RUNNERS = {
+    **{key: partial(_run_constraint_example, key, key, PAPER_SUITE) for key in MODEL_CONSTRAINTS},
+    **{f"general-{key}": partial(_run_constraint_example, f"general-{key}", key, GENERAL_SUITE)
+       for key in MODEL_CONSTRAINTS},
+    **{key: partial(_run_dynamic_example, key) for key in DYNAMIC_EXAMPLES},
+    "contradiction": _run_contradiction_example,
+}
+EXAMPLE_IDS = tuple(RUNNERS)
 
 
 def run_example(example_id: str) -> ExampleReport:
     """Execute one built-in example and compare against its golden values."""
-    if example_id not in EXAMPLE_IDS:
+    if example_id not in RUNNERS:
         raise KeyError(f"unknown example {example_id!r}; try one of {', '.join(EXAMPLE_IDS)}")
-    if example_id == "contradiction":
-        return _run_contradiction_example()
-    if example_id.startswith("dyn"):
-        return _run_dynamic_example(example_id)
-    if example_id.startswith("general-"):
-        key = example_id.removeprefix("general-")
-        return _run_general_example(key)
-    key = example_id
-    rows = HYBRID_ROWS.get(key)
-    classic = CLASSIC_3 if key == "m1" else None
-    return _run_constraint_example(
-        key, key, SOURCES_3, classic, None, COMPRESSED_3[key], rows, S3_COLUMN_SUMS.get(key)
-    )
-
-
-def _run_general_example(key: str) -> ExampleReport:
-    return _run_constraint_example(
-        f"general-{key}", key, GENERAL_SOURCES_3,
-        GENERAL_CLASSIC_3 if key == "m1" else None,
-        GENERAL_UNCOMPRESSED_3[key],
-        GENERAL_COMPRESSED_3[key],
-        None, None,
-    )
+    return RUNNERS[example_id]()

@@ -222,6 +222,9 @@ class TestCombine:
         pytest.param(dict(SCENARIO_AB, events=[{"add_elements": [f"c{i}" for i in range(17)]}]),
                      id="frame-grows-too-large"),
         pytest.param(dict(SCENARIO_AB, events=5), id="events-not-list"),
+        pytest.param(dict(SCENARIO_AB, events=[{"at": None}]), id="at-null"),
+        pytest.param(dict(SCENARIO_AB, events=[{"at": ["x"]}]), id="at-list"),
+        pytest.param(dict(SCENARIO_AB, events=[{"at": True}]), id="at-bool"),
         pytest.param(dict(SCENARIO_AB, mixture=5), id="mixture-not-list"),
         pytest.param(dict(SCENARIO_AB, constraints=["a&b"], mixture=[{"probability": "1"}]),
                      id="mixture-top-level-constraints"),
@@ -307,7 +310,9 @@ class TestCombine:
         path = scenario_file(dict(SCENARIO_AB, events=[{"at": "late", "add_elements": ["c"]}]))
         assert main(["combine", "--scenario", path, "--rule", "dsmc"]) == 0
         capsys.readouterr()
-        assert main(["combine", "--scenario", path, "--rule", "dsmc", "--breakdown"]) == 2
+        # the flag is refused before the session folds anything
+        with mock.patch.object(cli, "run_session", side_effect=AssertionError("folded")):
+            assert main(["combine", "--scenario", path, "--rule", "dsmc", "--breakdown"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--breakdown" in captured.err
         assert main(["combine", "--scenario", path, "--rule", "dsmh", "--breakdown"]) == 0
@@ -324,6 +329,9 @@ class TestCombine:
         out = capsys.readouterr().out
         line = next(ln for ln in out.splitlines() if ln.startswith("t3 "))
         assert "0.135000" in line
+        with mock.patch.object(cli, "bayesian_mixture", side_effect=AssertionError("folded")):
+            assert main(["combine", "--scenario", path, "--rule", "mixture", "--compress"]) == 2
+        assert "--compress" in capsys.readouterr().err
 
     def test_csv_output(self, scenario_file, capsys):
         path = scenario_file(dict(SCENARIO_REF))
@@ -446,6 +454,12 @@ class TestReproduce:
     def test_unknown_example_exit_2(self):
         res = run_cli("reproduce", "--example", "nope")
         assert res.returncode == 2
+
+    def test_unknown_rule_exit_2(self):
+        # refused by the argument parser, before the (missing) scenario is read
+        res = run_cli("combine", "--scenario", "missing.json", "--rule", "nope")
+        assert res.returncode == 2
+        assert "invalid choice" in res.stderr
 
     def test_console_entry_end_to_end(self):
         res = run_cli("reproduce", "--example", "m6")
