@@ -12,7 +12,8 @@ Library layout:
   rules      DSm classic/hybrid rules, DST baselines, Bayesian mixture:
              the classic fold (S1) under all, on Shafer's singleton atoms
              for DST; Dubois-Prade is the hybrid rule under Shafer's model
-  dynamic    staged sessions (frame growth, re-constraining) keeping S1
+  dynamic    staged sessions (frame growth, re-constraining) keeping S1 and
+             no results: run_session yields each compressed result in turn
   render     text and CSV tables shared by the CLI and the worked examples
   cli        command-line interface
 """
@@ -21,11 +22,9 @@ from . import errors
 from .bba import MassAssignment, bel, complement, pl, vacuous
 from .dynamic import (
     FusionSession,
-    RestoreReport,
     Stage,
     embed,
     embed_proposition,
-    restore_check,
     run_session,
 )
 from .exprparse import parse

@@ -41,6 +41,8 @@ from .rules import (
 )
 from .worked_examples import EXAMPLE_IDS, run_example
 
+SWEEP_LIMIT = 10_001  # sweep rows: epsilon in steps of 1e-4
+
 
 def _print(line: str = "") -> None:
     sys.stdout.write(line + "\n")
@@ -195,20 +197,21 @@ def cmd_combine(args) -> int:
         raise ScenarioError("scenarios with events run under 'dsmh' or 'dsmc'")
     if args.breakdown and args.rule != "dsmh":
         raise ScenarioError("--breakdown is only meaningful with rule 'dsmh'")
+    if events and args.compress:
+        raise ScenarioError("--compress does not apply to events: every stage's result is compressed")
     if not events:
         return _combine_static(doc, frame, sources, model, args)
 
     stages = stages_from(events, frame.names, lambda grown, obj: _source_from(obj, grown, False))
-    session = run_session(frame, sources, stages, rule=args.rule,
-                          constraints=constraint_exprs)
     csv = args.out == "csv"
-    for rec in session.history:
-        _print(f"== stage {rec.label} ==" if not csv else f"# stage {rec.label}")
-        for line in mass_lines(rec.result, csv):
-            _print(line)
+    lines = []
+    for rec in run_session(frame, sources, stages, rule=args.rule, constraints=constraint_exprs):
+        lines.append(f"== stage {rec.label} ==" if not csv else f"# stage {rec.label}")
+        lines += mass_lines(rec.result, csv)
         if args.breakdown:
-            for line in breakdown_lines(rec.breakdown, _breakdown_rows(rec.breakdown), csv):
-                _print(line)
+            lines += breakdown_lines(rec.breakdown, _breakdown_rows(rec.breakdown), csv)
+    for line in lines:
+        _print(line)
     return 0
 
 
@@ -217,10 +220,11 @@ def sweep_rows(steps: int) -> list[tuple[float, float | None, float | None, floa
 
     Returns (epsilon, dempster_t1, dempster_t2, dsmh_t1, dsmh_t2,
     dsmh_t1_or_t2) at `steps` uniform points covering [0, 1]; the normalized
-    columns are None where the orthogonal sum is undefined.
+    columns are None where the orthogonal sum is undefined.  `steps` runs
+    from 2 to SWEEP_LIMIT.
     """
-    if steps < 2:
-        raise ScenarioError("sweep needs at least 2 steps")
+    if not 2 <= steps <= SWEEP_LIMIT:
+        raise ScenarioError(f"sweep takes 2 to {SWEEP_LIMIT} steps, not {steps}")
     frame = build_frame(("t1", "t2"))
     t1 = parse(frame, "t1")
     t2 = parse(frame, "t2")

@@ -7,13 +7,18 @@ fold too: a new source and the previous S1 become the tables, folded
 once; every other stage and `dsmc` read S1 as it is.  Frame
 growth embeds each distinct mask of the tables and of S1 once; embedding
 commutes with meet, join and u(), so the folds are unchanged.
+
+A session keeps no results: `run_session` yields each stage's compressed
+result when the caller asks for it (so the CLI refuses `--compress` on
+events), and the caller keeps what it reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MissingName, RuleNotApplicable, ScenarioError
@@ -93,14 +98,17 @@ def stages_from(specs, names: tuple[str, ...],
         names = names + added
         source = source_of(build_frame(names), spec["add_source"]) if "add_source" in spec else None
         constraints = _string_list(spec, "set_constraints") if "set_constraints" in spec else None
-        stages.append(Stage(str(label), added, source, constraints))
+        try:
+            label = str(label)
+        except ValueError as exc:  # an int past the int-to-str digit limit
+            raise ScenarioError(f"event #{i + 1} 'at' is an integer too long to print") from exc
+        stages.append(Stage(label, added, source, constraints))
     return stages
 
 
 @dataclass
 class SessionResult:
     label: str
-    frame: Frame
     result: MassAssignment  # compressed for reporting
     breakdown: HybridBreakdown | None  # None under 'dsmc'
 
@@ -116,7 +124,6 @@ class FusionSession:
     constraint_exprs: tuple[str, ...] = ()
     rule: str = "dsmh"
     smets_mode: bool = False  # set once any source is open-world
-    history: list[SessionResult] = field(default_factory=list)
 
     @classmethod
     def start(
@@ -129,12 +136,11 @@ class FusionSession:
         embedded = [embed(src, src.frame, frame) for src in sources]
         _common_frame(embedded)  # at least two sources
         tables = [m._masses for m in embedded]
-        session = cls(frame, tables, _classic_fold(tables, frame.full_mask), tuple(constraints), rule,
-                      any(m.smets_mode for m in sources))
-        session._combine("t0")
-        return session
+        return cls(frame, tables, _classic_fold(tables, frame.full_mask), tuple(constraints), rule,
+                   any(m.smets_mode for m in sources))
 
-    def _combine(self, label: str) -> SessionResult:
+    def combine(self, label: str) -> SessionResult:
+        """The (compressed) result of the current tables under the current constraints."""
         model = build_model(self.frame, [parse(self.frame, c) for c in self.constraint_exprs])
         if self.rule == "dsmh":
             breakdown = _hybrid_breakdown(self.frame, self.tables, model, self.s1)
@@ -146,12 +152,10 @@ class FusionSession:
             breakdown = None
         else:
             raise RuleNotApplicable(f"rule {self.rule!r} cannot drive a session")
-        record = SessionResult(label, self.frame, result, breakdown)
-        self.history.append(record)
-        return record
+        return SessionResult(label, result, breakdown)
 
     def apply(self, stage: Stage) -> SessionResult:
-        """Process one stage and record the recombined (compressed) result."""
+        """Process one stage and return the recombined (compressed) result."""
         if stage.add_elements:
             old, new = self.frame, build_frame(self.frame.names + tuple(stage.add_elements))
             embed_mask = cache(lambda mask: embed_proposition(_proposition(old, mask), new).mask)
@@ -165,11 +169,7 @@ class FusionSession:
             self.smets_mode = self.smets_mode or src.smets_mode
         if stage.set_constraints is not None:
             self.constraint_exprs = tuple(stage.set_constraints)
-        return self._combine(stage.at)
-
-    @property
-    def current(self) -> SessionResult:
-        return self.history[-1]
+        return self.combine(stage.at)
 
 
 def run_session(
@@ -178,44 +178,12 @@ def run_session(
     stages: list[Stage],
     rule: str = "dsmh",
     constraints: tuple[str, ...] = (),
-) -> FusionSession:
-    """Start a session from the initial block (labelled "t0") and apply every stage in order."""
-    session = FusionSession.start(frame, sources, constraints, rule)
-    for stage in stages:
-        session.apply(stage)
-    return session
+) -> Iterator[SessionResult]:
+    """The results of the initial block (labelled "t0") and of each stage, in order.
 
-
-@dataclass(frozen=True)
-class RestoreReport:
-    """Comparison of the post-constraint result against earlier results."""
-
-    label: str
-    deviations: tuple[tuple[str, float], ...]  # (earlier label, max abs deviation)
-    matches: tuple[str, ...]
-
-    @property
-    def restored(self) -> bool:
-        return bool(self.matches)
-
-
-def _max_deviation(a: dict[str, float], b: dict[str, float]) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
-
-
-def restore_check(session: FusionSession, constraints: tuple[str, ...]) -> RestoreReport:
-    """Apply constraints and report which earlier result, if any, comes back.
-
-    The new stage is labelled "restore"; an earlier result matches when no
-    mass deviates by more than 1e-9.  Results on different frames compare
-    by expression, which embedding preserves.  Either the new sources
-    carried no mass touching the original singletons and an earlier result
-    returns exactly, or residual mass keeps the outcome different.
+    "t0" is folded at call time, so a bad start raises here; each later
+    stage is applied only when the caller asks for its result.
     """
-    earlier = [(rec.label, rec.by_expression()) for rec in session.history]
-    new = session.apply(Stage(at="restore", set_constraints=tuple(constraints)))
-    new_map = new.by_expression()
-    deviations = tuple((lbl, _max_deviation(new_map, old)) for lbl, old in earlier)
-    matches = tuple(lbl for lbl, dev in deviations if dev <= 1e-9)
-    return RestoreReport("restore", deviations, matches)
+    session = FusionSession.start(frame, sources, constraints, rule)
+    # an exhausted list iterator lets go of its list, and with it of t0's result
+    return chain(iter([session.combine("t0")]), map(session.apply, stages))

@@ -470,18 +470,15 @@ def _run_dynamic_example(key: str) -> ExampleReport:
     frame = build_frame(data["frame"])
     sources = [_assignment(frame, t) for t in data["sources"]]
     stages = stages_from(data["stages"], frame.names, _assignment)
-    session = run_session(frame, sources, stages)
     report = ExampleReport(key)
-    results = {rec.label: rec for rec in session.history}
-    for rec in session.history:
+    for rec in run_session(frame, sources, stages):  # stage labels are unique
         report.lines.append(f"== {key}: stage {rec.label} ==")
         report.lines += mass_lines(rec.result)
-    for label, expected in data["expected"].items():
-        rec = results[label]
-        got = rec.by_expression()
-        want = {}
-        for expr, v in expected.items():
-            canon = to_expression(parse(rec.frame, expr))
+        if rec.label not in data["expected"]:
+            continue
+        got, want = rec.by_expression(), {}
+        for expr, v in data["expected"][rec.label].items():
+            canon = to_expression(parse(rec.result.frame, expr))
             want[canon] = want.get(canon, 0.0) + v
         for k in set(got) | set(want):
             report.close(got.get(k, 0.0), want.get(k, 0.0))

@@ -40,8 +40,10 @@ class TestValidate:
         assert exc.value.actual == pytest.approx(0.5)
 
     def test_negative(self, frame3):
-        with pytest.raises(NegativeMass):
-            assignment(frame3, {"t1": 1.5, "t2": -0.5})
+        # the second is negative by less than 1e-3 and still sums to one
+        for masses in ({"t1": 1.5, "t2": -0.5}, {"t1": 1.0001, "t2": -0.0001}):
+            with pytest.raises(NegativeMass):
+                assignment(frame3, masses)
 
     def test_empty_set_mass(self, frame3):
         from dsmfusion import empty

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dsmfusion import RULE_NAMES, build_model, parse
 from dsmfusion import cli
-from dsmfusion.cli import main, sweep_rows
+from dsmfusion.cli import SWEEP_LIMIT, main, sweep_rows
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -318,6 +318,15 @@ class TestCombine:
         assert main(["combine", "--scenario", path, "--rule", "dsmh", "--breakdown"]) == 0
         assert capsys.readouterr().out.count("phi") == 2
 
+    @pytest.mark.parametrize("rule", ["dsmh", "dsmc"])
+    def test_events_refuse_compress(self, scenario_file, capsys, rule):
+        path = scenario_file(dict(SCENARIO_AB, events=[{"at": "late", "add_elements": ["c"]}]))
+        # every stage's block is already compressed; the flag is refused before any fold
+        with mock.patch.object(cli, "run_session", side_effect=AssertionError("folded")):
+            assert main(["combine", "--scenario", path, "--rule", rule, "--compress"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--compress" in captured.err
+
     def test_mixture(self, scenario_file, capsys):
         doc = dict(SCENARIO_REF)
         doc["mixture"] = [
@@ -418,6 +427,14 @@ class TestSweep:
         assert row_01[0] == pytest.approx(0.1)
         assert row_01[3] == pytest.approx(0.09, abs=1e-12)
         assert row_01[5] == pytest.approx(0.82, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, SWEEP_LIMIT + 1])
+    def test_step_limit(self, capsys, steps):
+        # refused before any row is computed
+        with mock.patch.object(cli, "dempster", side_effect=AssertionError("computed")):
+            assert main(["sweep", "--epsilon-steps", str(steps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(SWEEP_LIMIT) in captured.err
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "sweep.csv"

@@ -1,5 +1,9 @@
 """Staged fusion: embedding, session recombination, restore checks."""
 
+import gc
+import weakref
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,13 +18,12 @@ from dsmfusion import (
     embed,
     embed_proposition,
     parse,
-    restore_check,
     run_session,
     to_expression,
     vacuous,
 )
 from dsmfusion import dynamic
-from dsmfusion.errors import FewerThanTwoSources, MissingName, RuleNotApplicable
+from dsmfusion.errors import FewerThanTwoSources, MissingName, RuleNotApplicable, ScenarioError
 from conftest import assignment, atom_labels, random_bba
 
 
@@ -73,14 +76,14 @@ def dyn12_sources(frame2):
 class TestRunSession:
     def test_example_growth_then_constraint(self, frame2, frame3):
         m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
-        session = run_session(frame2, dyn12_sources(frame2), [
+        history = list(run_session(frame2, dyn12_sources(frame2), [
             Stage(at="t1", add_elements=("t3",), add_source=m3),
             Stage(at="t2", set_constraints=("t3",)),
-        ])
-        got = session.history[1].by_expression()
+        ]))
+        got = history[1].by_expression()
         assert got["t1&t2&t3"] == pytest.approx(0.464, abs=5e-5)
         assert got[to_expression(parse(frame3, "(t1|t2)&t3"))] == pytest.approx(0.012, abs=5e-5)
-        final = session.current.by_expression()
+        final = history[-1].by_expression()
         assert final["t1"] == pytest.approx(0.147, abs=5e-5)
         assert final["t2"] == pytest.approx(0.179, abs=5e-5)
         assert final["t1|t2"] == pytest.approx(0.021, abs=5e-5)
@@ -89,9 +92,9 @@ class TestRunSession:
     def test_constraint_only_uses_raw_factors(self, frame4):
         m1 = assignment(frame4, {"t1": 0.5, "t2": 0.4, "t1&t2": 0.1})
         m2 = assignment(frame4, {"t1": 0.3, "t2": 0.2, "t1&t3": 0.1, "t4": 0.4})
-        session = run_session(frame4, [m1, m2],
-                              [Stage(at="t1", set_constraints=("t1&t2", "t1&t3"))])
-        got = session.current.by_expression()
+        *_, last = run_session(frame4, [m1, m2],
+                               [Stage(at="t1", set_constraints=("t1&t2", "t1&t3"))])
+        got = last.by_expression()
         expected = {"t1": 0.23, "t2": 0.14, "t4": 0.04, "t1&t4": 0.20,
                     "t2&t4": 0.16, "t1|t2": 0.22, "t1|t2|t3": 0.01}
         assert set(got) == set(expected)
@@ -100,12 +103,11 @@ class TestRunSession:
 
     def test_results_sum_to_one_every_stage(self, frame2, frame3):
         m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
-        session = run_session(frame2, dyn12_sources(frame2), [
+        for rec in run_session(frame2, dyn12_sources(frame2), [
             Stage(at="t1", add_elements=("t3",), add_source=m3),
             Stage(at="t2", set_constraints=("t3",)),
             Stage(at="t3", set_constraints=()),
-        ])
-        for rec in session.history:
+        ]):
             assert rec.result.total == pytest.approx(1.0, abs=1e-9)
 
     def test_single_source_rejected(self, frame2):
@@ -135,33 +137,65 @@ class TestRunSession:
             assert grouped[p] == pytest.approx(flat[p], abs=1e-12)
 
 
+@dataclass(frozen=True)
+class RestoreReport:
+    """Comparison of the post-constraint result against earlier results."""
+
+    deviations: tuple[tuple[str, float], ...]  # (earlier label, max abs deviation)
+    matches: tuple[str, ...]
+    final: dict[str, float]  # the post-constraint result, by expression
+
+    @property
+    def restored(self) -> bool:
+        return bool(self.matches)
+
+
+def _max_deviation(a: dict[str, float], b: dict[str, float]) -> float:
+    keys = set(a) | set(b)
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
+
+
+def restore_check(frame, sources, stages, constraints) -> RestoreReport:
+    """Rerun a session with one more stage that sets `constraints`; report which result comes back.
+
+    An earlier result matches when no mass deviates by more than 1e-9.
+    Results on different frames compare by expression, which embedding
+    preserves.  Either the new sources carried no mass touching the
+    original singletons and an earlier result returns exactly, or residual
+    mass keeps the outcome different.
+    """
+    *earlier, new = run_session(frame, sources,
+                                [*stages, Stage(at="restore", set_constraints=tuple(constraints))])
+    final = new.by_expression()
+    deviations = tuple((rec.label, _max_deviation(final, rec.by_expression())) for rec in earlier)
+    return RestoreReport(deviations, tuple(lbl for lbl, dev in deviations if dev <= 1e-9), final)
+
+
 class TestRestoreCheck:
     def test_clean_recovery(self, frame2, frame4):
         m3 = assignment(frame4, {"t3": 0.5, "t4": 0.3, "t3&t4": 0.1, "t3|t4": 0.1})
-        session = run_session(frame2, dyn12_sources(frame2),
-                              [Stage(at="t1", add_elements=("t3", "t4"), add_source=m3)])
-        report = restore_check(session, ("t3", "t4"))
+        report = restore_check(frame2, dyn12_sources(frame2),
+                               [Stage(at="t1", add_elements=("t3", "t4"), add_source=m3)],
+                               ("t3", "t4"))
         assert report.restored
         assert "t0" in report.matches
         t0_dev = dict(report.deviations)["t0"]
         assert t0_dev <= 1e-12
-        final = session.current.by_expression()
+        final = report.final
         assert final == pytest.approx({"t1": 0.21, "t2": 0.17, "t1|t2": 0.03, "t1&t2": 0.59})
 
     def test_residual_mass_blocks_recovery(self, frame2, frame3):
         m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
-        session = run_session(frame2, dyn12_sources(frame2),
-                              [Stage(at="t1", add_elements=("t3",), add_source=m3)])
-        report = restore_check(session, ("t3",))
+        report = restore_check(frame2, dyn12_sources(frame2),
+                               [Stage(at="t1", add_elements=("t3",), add_source=m3)], ("t3",))
         assert not report.restored
 
     def test_constraints_via_restore_check(self, frame4):
         m1 = assignment(frame4, {"t1": 0.5, "t2": 0.4, "t1&t2": 0.1})
         m2 = assignment(frame4, {"t1": 0.3, "t2": 0.2, "t1&t3": 0.1, "t4": 0.4})
-        session = run_session(frame4, [m1, m2], [])
-        report = restore_check(session, ("t1&t2", "t1&t3"))
+        report = restore_check(frame4, [m1, m2], [], ("t1&t2", "t1&t3"))
         assert not report.restored  # conflicting mass moved, t0 not recovered
-        got = session.current.by_expression()
+        got = report.final
         assert got["t1"] == pytest.approx(0.23, abs=5e-5)
         assert got["t2"] == pytest.approx(0.14, abs=5e-5)
         assert got["t1|t2"] == pytest.approx(0.22, abs=5e-5)
@@ -171,9 +205,9 @@ class TestRestoreCheck:
         # any added source silent on the original singletons restores exactly
         f5 = build_frame(("t1", "t2", "x", "y", "z"))
         m3 = assignment(f5, {"x": 0.2, "y&z": 0.3, "x|y": 0.5})
-        session = run_session(frame2, dyn12_sources(frame2),
-                              [Stage(at="t1", add_elements=("x", "y", "z"), add_source=m3)])
-        report = restore_check(session, ("x", "y", "z"))
+        report = restore_check(frame2, dyn12_sources(frame2),
+                               [Stage(at="t1", add_elements=("x", "y", "z"), add_source=m3)],
+                               ("x", "y", "z"))
         assert report.restored and "t0" in report.matches
 
 
@@ -240,16 +274,16 @@ def test_session_matches_factor_list_oracle(data):
             constraints = ()
             stages = [Stage(s.at, s.add_elements, s.add_source,
                             None if s.set_constraints is None else ()) for s in stages]
-        session = run_session(frame, sources, stages, rule=rule, constraints=constraints)
+        history = list(run_session(frame, sources, stages, rule=rule, constraints=constraints))
         results, breakdowns = oracle_session(frame, sources, stages, rule, constraints)
-        assert len(session.history) == len(results) == len(stages) + 1
-        for rec, want in zip(session.history, results):
+        assert len(history) == len(results) == len(stages) + 1
+        for rec, want in zip(history, results):
             assert_same_table(rec.result, want)
         if rule == "dsmc":
-            assert all(rec.breakdown is None for rec in session.history) and not breakdowns
+            assert all(rec.breakdown is None for rec in history) and not breakdowns
             continue
-        assert len(session.history) == len(breakdowns)
-        for rec, want in zip(session.history, breakdowns):
+        assert len(history) == len(breakdowns)
+        for rec, want in zip(history, breakdowns):
             for table in ("s1", "s2", "s3", "result"):
                 assert_same_table(getattr(rec.breakdown, table), getattr(want, table))
 
@@ -272,12 +306,44 @@ def test_constraint_only_stage_keeps_the_tables(frame2, frame3, monkeypatch):
         folds.clear()
         session = FusionSession.start(frame2, dyn12_sources(frame2), rule=rule)
         assert len(folds) == 1
+        history = [session.combine("t0")]
         tables = session.tables
-        session.apply(stages[0])
+        history.append(session.apply(stages[0]))
         assert session.tables is tables
         for stage, count in zip(stages[1:], (1, 2, 2)):
-            session.apply(stage)
+            history.append(session.apply(stage))
             assert len(folds) == count
         results, _ = oracle_session(frame2, dyn12_sources(frame2), stages, rule)
-        for rec, result in zip(session.history, results, strict=True):
+        for rec, result in zip(history, results, strict=True):
             assert_same_table(rec.result, result)
+
+
+def test_session_keeps_no_earlier_result(frame2, frame3):
+    """Each stage's result is the caller's: once read and dropped, nothing in the session holds it."""
+    m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
+    results = run_session(frame2, dyn12_sources(frame2), [
+        Stage(at="t1", add_elements=("t3",), add_source=m3),
+        Stage(at="t2", set_constraints=("t3",)),
+    ])
+    t0 = weakref.ref(next(results))
+    assert next(results).label == "t1"
+    gc.collect()
+    assert t0() is None
+    assert [rec.label for rec in results] == ["t2"]
+
+
+def test_session_folds_later_stages_on_demand(frame2, monkeypatch):
+    """run_session starts the session and folds t0 at once, and each later stage only when read."""
+    applied = []
+    apply = FusionSession.apply
+    monkeypatch.setattr(FusionSession, "apply",
+                        lambda self, stage: applied.append(stage.at) or apply(self, stage))
+    results = run_session(frame2, dyn12_sources(frame2), [Stage(at="t1", set_constraints=("t1&t2",))])
+    assert applied == []
+    assert [rec.label for rec in results] == ["t0", "t1"]
+    assert applied == ["t1"]
+
+
+def test_huge_integer_label():
+    with pytest.raises(ScenarioError, match="too long"):
+        dynamic.stages_from([{"at": 10**5000}], ("a", "b"), None)

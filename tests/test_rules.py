@@ -744,9 +744,9 @@ def test_three_folds_match_tuple_oracle(n, k, constraints):
               Stage("late", add_source=with_dead_share(rng, small, 1, "t1&t2")[0],
                     set_constraints=constraints)]
     start = with_dead_share(rng, small, k - 1, "t1&t2")
-    session = run_session(small, start, stages, constraints=constraints)
+    history = run_session(small, start, stages, constraints=constraints)
     results, breakdowns = oracle_session(small, start, stages, "dsmh", constraints)
-    for rec, result, breakdown in zip(session.history, results, breakdowns, strict=True):
+    for rec, result, breakdown in zip(history, results, breakdowns, strict=True):
         assert_same_table(rec.result, result)
         for table in ("s1", "s2", "s3", "result"):
             assert_same_table(getattr(rec.breakdown, table), getattr(breakdown, table))
