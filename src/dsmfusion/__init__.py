@@ -32,6 +32,7 @@ from .lattice import (
     ENUMERATION_LIMIT,
     FOLD_LIMIT,
     FRAME_LIMIT,
+    LOAD_LIMIT,
     Frame,
     Proposition,
     build_frame,

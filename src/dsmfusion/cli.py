@@ -20,17 +20,21 @@ import json
 import sys
 from decimal import Decimal, InvalidOperation
 from functools import cache
+from math import fsum
 
 from .bba import MassAssignment
 from .dynamic import _list, _string_list, run_session, stages_from
 from .errors import DsmError, FullContradiction, ScenarioError
 from .exprparse import _parse_or_empty, parse
-from .lattice import ENUMERATION_LIMIT, Frame, Proposition, build_frame, enumerate_hpset
+from .lattice import (ENUMERATION_LIMIT, FRAME_LIMIT, LOAD_LIMIT, Frame, Proposition, build_frame,
+                      enumerate_hpset)
 from .model import build_model, encoding_matrix, shafer_model, survivors
 from .render import breakdown_lines, class_lines, compressed_lines, mass_lines
 from .rules import (
     MixtureSpec,
     RULE_NAMES,
+    _classic_fold,
+    _hybrid_breakdown,
     bayesian_mixture,
     dempster,
     dsm_classic,
@@ -89,6 +93,31 @@ def _source_from(obj: dict, frame: Frame, smets_mode: bool) -> MassAssignment:
         rows.append((_parse_or_empty(frame, text), _parse_mass(row["mass"])))
     # MassAssignment sums the masses of repeated keys in row order
     return MassAssignment(frame, rows, smets_mode=smets_mode)
+
+
+def _check_load(doc: dict, n: int) -> None:
+    """Refuse, before any expression is parsed, masses that would hold past LOAD_LIMIT atom bits.
+
+    Counts the mass rows of the sources on the scenario's n singletons and
+    those of each event's added source on the frame that event grows;
+    malformed parts count nothing here and are refused where they are read.
+    """
+    def rows(source) -> int:
+        masses = source.get("masses") if isinstance(source, dict) else None
+        return len(masses) if isinstance(masses, list) else 0
+
+    bits = sum(map(rows, doc["sources"])) * ((1 << n) - 1)
+    events = doc.get("events")
+    for event in events if isinstance(events, list) else ():
+        if isinstance(event, dict):
+            added = event.get("add_elements")
+            n += len(added) if isinstance(added, list) else 0
+            if n > FRAME_LIMIT:  # build_frame refuses this and every later source unparsed
+                break
+            bits += rows(event.get("add_source")) * ((1 << n) - 1)
+    if bits > LOAD_LIMIT:
+        raise ScenarioError(f"the scenario's masses would hold {bits} atom bits, "
+                            f"past LOAD_LIMIT = {LOAD_LIMIT}")
 
 
 def _breakdown_rows(bd) -> list[Proposition]:
@@ -159,7 +188,7 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
         for ent in entries:
             if not isinstance(ent, dict) or "probability" not in ent:
                 raise ScenarioError(f"mixture entries need a 'probability': {ent!r}")
-            constraints = [parse(frame, e) for e in _string_list(ent, "constraints")]
+            constraints = (parse(frame, e) for e in _string_list(ent, "constraints"))
             pairs.append((build_model(frame, constraints), _parse_mass(ent["probability"])))
         if args.compress:
             raise ScenarioError("--compress is undefined for 'mixture' (no single model)")
@@ -187,10 +216,11 @@ def cmd_combine(args) -> int:
         raise ScenarioError(f"'smets_mode' must be true or false: {smets_mode!r}")
     if not isinstance(doc["sources"], list) or not doc["sources"]:
         raise ScenarioError("scenario has no sources")
+    _check_load(doc, frame.n)
     sources = [_source_from(s, frame, smets_mode) for s in doc["sources"]]
     constraint_exprs = _string_list(doc, "constraints")
-    constraints = [parse(frame, e) for e in constraint_exprs]
-    model = build_model(frame, constraints)
+    # parsed one at a time: an n=18 constraint holds 32 KiB until build_model ORs it in
+    model = build_model(frame, (parse(frame, e) for e in constraint_exprs))
 
     events = _list(doc, "events")
     if events and args.rule not in ("dsmh", "dsmc"):
@@ -222,26 +252,34 @@ def sweep_rows(steps: int) -> list[tuple[float, float | None, float | None, floa
     dsmh_t1_or_t2) at `steps` uniform points covering [0, 1]; the normalized
     columns are None where the orthogonal sum is undefined.  `steps` runs
     from 2 to SWEEP_LIMIT.
+
+    One classic fold (S1) per row serves both rules.  Every focal set is a
+    singleton and, under Shafer's model, the meet of two different
+    singletons is empty, so S1's t1 and t2 entries are exactly the sums
+    Dempster's own fold makes: its columns normalize them, and the hybrid
+    columns read S1 as `dsm_hybrid` does.
     """
     if not 2 <= steps <= SWEEP_LIMIT:
         raise ScenarioError(f"sweep takes 2 to {SWEEP_LIMIT} steps, not {steps}")
     frame = build_frame(("t1", "t2"))
-    t1 = parse(frame, "t1")
-    t2 = parse(frame, "t2")
-    union = parse(frame, "t1|t2")
+    t1, t2, union = (parse(frame, e).mask for e in ("t1", "t2", "t1|t2"))
+    conflicting, full = t1 & t2, frame.full_mask
     shafer = shafer_model(frame)
     rows = []
     for i in range(steps):
         eps = i / (steps - 1)
-        m1 = MassAssignment(frame, {t1: 1.0 - eps, t2: eps})
-        m2 = MassAssignment(frame, {t1: eps, t2: 1.0 - eps})
-        try:
-            dm, _ = dempster([m1, m2])
-            d1, d2 = dm[t1], dm[t2]
-        except FullContradiction:
+        tables = [MassAssignment._from_masks(frame, {t1: 1.0 - eps, t2: eps})._masses,
+                  MassAssignment._from_masks(frame, {t1: eps, t2: 1.0 - eps})._masses]
+        s1 = _classic_fold(tables, full)
+        surviving = fsum((s1.get(t1, 0.0), s1.get(t2, 0.0)))
+        if surviving <= 0.0 or s1.get(conflicting, 0.0) >= 1.0:
             d1 = d2 = None
-        hy = dsm_hybrid([m1, m2], shafer).result
-        rows.append((eps, d1, d2, hy[t1], hy[t2], hy[union]))
+        else:
+            dm = MassAssignment._from_masks(frame, {mask: s1[mask] / surviving
+                                                    for mask in (t1, t2) if mask in s1})
+            d1, d2 = dm._masses.get(t1, 0.0), dm._masses.get(t2, 0.0)
+        hy = _hybrid_breakdown(frame, tables, shafer, s1).result._masses
+        rows.append((eps, d1, d2, hy.get(t1, 0.0), hy.get(t2, 0.0), hy.get(union, 0.0)))
     return rows
 
 

@@ -141,7 +141,7 @@ class FusionSession:
 
     def combine(self, label: str) -> SessionResult:
         """The (compressed) result of the current tables under the current constraints."""
-        model = build_model(self.frame, [parse(self.frame, c) for c in self.constraint_exprs])
+        model = build_model(self.frame, (parse(self.frame, c) for c in self.constraint_exprs))
         if self.rule == "dsmh":
             breakdown = _hybrid_breakdown(self.frame, self.tables, model, self.s1)
             result = compress(model, breakdown.result)

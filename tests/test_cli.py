@@ -12,9 +12,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dsmfusion import RULE_NAMES, build_model, parse
+from dsmfusion import (LOAD_LIMIT, RULE_NAMES, MassAssignment, build_frame, build_model, dempster,
+                       dsm_hybrid, parse, shafer_model)
 from dsmfusion import cli
 from dsmfusion.cli import SWEEP_LIMIT, main, sweep_rows
+from dsmfusion.errors import FullContradiction, ScenarioError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -75,6 +77,21 @@ def past_fold_limit():
     a = [{"prop": p, "mass": "0.015"} for p in props[1:65]] + [{"prop": props[0], "mass": "0.04"}]
     b = [{"prop": p, "mass": "0.015625"} for p in props[:64]]
     return {"frame": names, "sources": [{"name": "a", "masses": a}, {"name": "b", "masses": b}]}
+
+
+def load_rows(rows):
+    """A scenario on 18 singletons with `rows` mass rows in all.
+
+    They are split across its two sources and an event's added source.
+    """
+    names = [f"t{i}" for i in range(1, 19)]
+
+    def source(k):
+        return {"name": "s", "masses": [{"prop": "t1", "mass": "1"}] * k}
+
+    third = rows // 3
+    return {"frame": names, "sources": [source(third), source(third)],
+            "events": [{"at": "t1"}, {"at": "t2", "add_source": source(rows - 2 * third)}]}
 
 
 def with_first_masses(*rows):
@@ -235,6 +252,17 @@ class TestCombine:
         # dsmh, unlike dsmc, accepts constraints, so a misread one exits 0
         rule = "mixture" if "mixture" in doc else "dsmh"
         assert main(["combine", "--scenario", path, "--rule", rule]) == 2
+
+    @pytest.mark.parametrize("rows", [LOAD_LIMIT // (2**18 - 1), LOAD_LIMIT // (2**18 - 1) + 1])
+    def test_load_limit(self, scenario_file, capsys, rows):
+        # 512 rows of 2^18 - 1 atom bits fit LOAD_LIMIT and reach the parser; one more is
+        # refused before any expression is parsed
+        path = scenario_file(load_rows(rows))
+        with mock.patch.object(cli, "_parse_or_empty", side_effect=ScenarioError("parsed")):
+            assert main(["combine", "--scenario", path, "--rule", "dsmh"]) == 2
+        err = capsys.readouterr().err
+        past = rows * (2**18 - 1) > LOAD_LIMIT
+        assert ("LOAD_LIMIT" in err) == past and ("parsed" in err) != past
 
     def test_unreadable_files_exit_2(self, tmp_path):
         latin1 = tmp_path / "latin1.json"
@@ -405,7 +433,35 @@ class TestCombine:
         assert a.stdout == b.stdout
 
 
+def reference_sweep_rows(steps):
+    """The sweep through the public rules: two assignments, then `dempster` and `dsm_hybrid`."""
+    frame = build_frame(("t1", "t2"))
+    t1 = parse(frame, "t1")
+    t2 = parse(frame, "t2")
+    union = parse(frame, "t1|t2")
+    shafer = shafer_model(frame)
+    rows = []
+    for i in range(steps):
+        eps = i / (steps - 1)
+        m1 = MassAssignment(frame, {t1: 1.0 - eps, t2: eps})
+        m2 = MassAssignment(frame, {t1: eps, t2: 1.0 - eps})
+        try:
+            dm, _ = dempster([m1, m2])
+            d1, d2 = dm[t1], dm[t2]
+        except FullContradiction:
+            d1 = d2 = None
+        hy = dsm_hybrid([m1, m2], shafer).result
+        rows.append((eps, d1, d2, hy[t1], hy[t2], hy[union]))
+    return rows
+
+
 class TestSweep:
+    @pytest.mark.parametrize("steps", [2, 3, 11, 101, 1001, SWEEP_LIMIT])
+    def test_matches_public_rules(self, steps):
+        # repr tells None, -0.0 and every last bit apart
+        assert [tuple(map(repr, row)) for row in sweep_rows(steps)] == \
+            [tuple(map(repr, row)) for row in reference_sweep_rows(steps)]
+
     def test_header_and_shape(self, capsys):
         assert main(["sweep", "--epsilon-steps", "5"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -431,7 +487,7 @@ class TestSweep:
     @pytest.mark.parametrize("steps", [1, SWEEP_LIMIT + 1])
     def test_step_limit(self, capsys, steps):
         # refused before any row is computed
-        with mock.patch.object(cli, "dempster", side_effect=AssertionError("computed")):
+        with mock.patch.object(cli, "_classic_fold", side_effect=AssertionError("computed")):
             assert main(["sweep", "--epsilon-steps", str(steps)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and str(SWEEP_LIMIT) in captured.err

@@ -6,7 +6,7 @@ from itertools import product
 from math import fsum, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dsmfusion import (
     MassAssignment,
@@ -799,3 +799,28 @@ def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
     dsm_hybrid(ms, model_for(frame3, "t1&t3"))  # empties SOURCE_A's t1&t3 only
     with pytest.raises(AssertionError, match="generators extracted"):
         dsm_hybrid(ms, model_for(frame3, "t1&t2"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any), min_size=2, max_size=4)))
+@example([[1, 0], [0, 1]])  # full contradiction
+def test_dempster_is_s1_on_singletons_normalized(weights):
+    """On Bayesian sources Dempster's rule is S1's singleton entries over their sum.
+
+    The free meet of two different singletons holds no singleton atom, so
+    S1's singleton keys take exactly the products Dempster's n-bit fold
+    sums per singleton.  `sweep` reads both rules from one S1 on this.
+    """
+    frame = build_frame([f"t{i}" for i in range(1, len(weights[0]) + 1)])
+    ms = [MassAssignment(frame, {singleton(frame, i): w / sum(row) for i, w in enumerate(row, 1)})
+          for row in weights]
+    s1 = rules._classic_fold([m._masses for m in ms], frame.full_mask)
+    singles = {singleton(frame, i).mask for i in range(1, frame.n + 1)}
+    survivors = {mask: v for mask, v in s1.items() if mask in singles}
+    surviving = fsum(survivors.values())
+    if surviving == 0.0:
+        with pytest.raises(FullContradiction):
+            dempster(ms)
+    else:
+        assert dempster(ms)[0]._masses == {mask: v / surviving for mask, v in survivors.items()}
