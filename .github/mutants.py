@@ -68,12 +68,16 @@ MUTANTS = (
            "        return bits[pos]\n    return digits",
            ("test_lattice.py", "test_rules.py")),
     Mutant("a session keeps every table instead of sealing to S1", "dynamic.py",
-           "self.tables = [self.s1, src._masses]",
-           "self.tables = [*self.tables, src._masses]",
+           "tables = [s1, src._masses]",
+           "tables = [*tables, src._masses]",
            ("test_dynamic.py",)),
     Mutant("a session does not embed S1 on growth", "dynamic.py",
-           "self.s1, *self.tables = [",
-           "_, *self.tables = [",
+           "s1, *tables = [",
+           "_, *tables = [",
+           ("test_dynamic.py",)),
+    Mutant("a session does not embed the model on growth", "dynamic.py",
+           "model = HybridModel(frame, embed_mask(model.empty_mask))",
+           "model = HybridModel(frame, model.empty_mask)",
            ("test_dynamic.py",)),
     Mutant("compress groups on the unmasked key", "model.py",
            "entries = ((mask & alive, (mask, v)) for mask, v in m._masses.items())",

@@ -12,21 +12,16 @@ Library layout:
   rules      DSm classic/hybrid rules, DST baselines, Bayesian mixture:
              the classic fold (S1) under all, on Shafer's singleton atoms
              for DST; Dubois-Prade is the hybrid rule under Shafer's model
-  dynamic    staged sessions (frame growth, re-constraining) keeping S1 and
-             no results: run_session yields each compressed result in turn
+  dynamic    staged sessions (frame growth, re-constraining): run_session
+             keeps S1 and no results, takes stages from any iterable and
+             yields each compressed result in turn
   render     text and CSV tables shared by the CLI and the worked examples
   cli        command-line interface
 """
 
 from . import errors
 from .bba import MassAssignment, bel, complement, pl, vacuous
-from .dynamic import (
-    FusionSession,
-    Stage,
-    embed,
-    embed_proposition,
-    run_session,
-)
+from .dynamic import Stage, embed, embed_proposition, run_session
 from .exprparse import parse
 from .lattice import (
     ENUMERATION_LIMIT,

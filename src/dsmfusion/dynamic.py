@@ -1,30 +1,32 @@
 """Dynamic fusion: frame growth, staged sources and constraint changes.
 
-A session keeps the focal tables of its sources (atom bitset -> mass),
-not their combination, because a constraint arriving later must re-run
-the hybrid transfer over the same tuples.  It keeps their classic (S1)
-fold too: a new source and the previous S1 become the tables, folded
-once; every other stage and `dsmc` read S1 as it is.  Frame
-growth embeds each distinct mask of the tables and of S1 once; embedding
-commutes with meet, join and u(), so the folds are unchanged.
+A session is one call, `run_session`, over focal tables keyed by atom
+bitset.  It keeps the focal tables of its sources, not their combination,
+because a constraint arriving later must re-run the hybrid transfer over
+the same tuples.  It keeps their classic (S1) fold too: a new source and
+the previous S1 become the tables, folded once; every other stage and
+`dsmc` read S1 as it is.  Constraints are parsed once, when set.  Frame
+growth embeds each distinct mask of the tables, of S1 and of the model's
+empty atoms once; embedding commutes with meet, join and u(), so the folds
+and the model are unchanged.
 
 A session keeps no results: `run_session` yields each stage's compressed
 result when the caller asks for it (so the CLI refuses `--compress` on
-events), and the caller keeps what it reads.
+events), and the caller keeps what it reads.  Stages may come from any
+iterable, a live feed included.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .bba import MassAssignment
-from .errors import FrameMismatch, MissingName, RuleNotApplicable, ScenarioError
+from .errors import MissingName, RuleNotApplicable, ScenarioError
 from .exprparse import parse
 from .lattice import Frame, Proposition, _proposition, build_frame, from_generators, to_expression
-from .model import build_model, compress
+from .model import HybridModel, build_model, compress
 from .rules import HybridBreakdown, _classic_fold, _common_frame, _hybrid_breakdown
 
 
@@ -37,15 +39,13 @@ def embed_proposition(p: Proposition, new: Frame) -> Proposition:
     return from_generators(new, [[new.index(old.names[d - 1]) for d in g] for g in p.generators])
 
 
-def embed(m: MassAssignment, old: Frame, new: Frame) -> MassAssignment:
-    """Carry an assignment onto an enlarged frame, term by term.
+def embed(m: MassAssignment, new: Frame) -> MassAssignment:
+    """Carry an assignment from its frame onto an enlarged one, term by term.
 
     Masses are unchanged and each proposition keeps its generator antichain,
     so the vacuous assignment on the old frame stays on the old singletons'
     union rather than becoming the new total ignorance.
     """
-    if m.frame != old:
-        raise FrameMismatch("assignment is not on the declared old frame")
     remapped = {embed_proposition(p, new): v for p, v in m.items()}
     return MassAssignment(new, remapped, smets_mode=m.smets_mode)
 
@@ -116,74 +116,55 @@ class SessionResult:
         return {to_expression(p): v for p, v in self.result.items()}
 
 
-@dataclass
-class FusionSession:
-    frame: Frame
-    tables: list  # the focal tables (atom bitset -> mass) folded since the last seal
-    s1: dict  # the classic fold of `tables`
-    constraint_exprs: tuple[str, ...] = ()
-    rule: str = "dsmh"
-    smets_mode: bool = False  # set once any source is open-world
+def _result(label: str, rule: str, frame: Frame, tables: list, s1: dict, model: HybridModel,
+            smets_mode: bool) -> SessionResult:
+    """The (compressed) result of the tables under the model."""
+    if rule == "dsmc":
+        if not model.is_free:
+            raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
+        return SessionResult(label, MassAssignment._from_masks(frame, s1, smets_mode=smets_mode), None)
+    breakdown = _hybrid_breakdown(frame, tables, model, s1)
+    return SessionResult(label, compress(model, breakdown.result), breakdown)
 
-    @classmethod
-    def start(
-        cls,
-        frame: Frame,
-        sources: list[MassAssignment],
-        constraints: tuple[str, ...] = (),
-        rule: str = "dsmh",
-    ) -> "FusionSession":
-        embedded = [embed(src, src.frame, frame) for src in sources]
-        _common_frame(embedded)  # at least two sources
-        tables = [m._masses for m in embedded]
-        return cls(frame, tables, _classic_fold(tables, frame.full_mask), tuple(constraints), rule,
-                   any(m.smets_mode for m in sources))
 
-    def combine(self, label: str) -> SessionResult:
-        """The (compressed) result of the current tables under the current constraints."""
-        model = build_model(self.frame, (parse(self.frame, c) for c in self.constraint_exprs))
-        if self.rule == "dsmh":
-            breakdown = _hybrid_breakdown(self.frame, self.tables, model, self.s1)
-            result = compress(model, breakdown.result)
-        elif self.rule == "dsmc":
-            if not model.is_free:
-                raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
-            result = MassAssignment._from_masks(self.frame, self.s1, smets_mode=self.smets_mode)
-            breakdown = None
-        else:
-            raise RuleNotApplicable(f"rule {self.rule!r} cannot drive a session")
-        return SessionResult(label, result, breakdown)
-
-    def apply(self, stage: Stage) -> SessionResult:
-        """Process one stage and return the recombined (compressed) result."""
+def _later(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1: dict,
+           model: HybridModel, smets_mode: bool) -> Iterator[SessionResult]:
+    """Apply each stage to the session state when its result is read."""
+    for stage in stages:
         if stage.add_elements:
-            old, new = self.frame, build_frame(self.frame.names + tuple(stage.add_elements))
-            embed_mask = cache(lambda mask: embed_proposition(_proposition(old, mask), new).mask)
-            self.frame = new
-            self.s1, *self.tables = [{embed_mask(mask): v for mask, v in t.items()}
-                                     for t in (self.s1, *self.tables)]
+            old, frame = frame, build_frame(frame.names + tuple(stage.add_elements))
+            embed_mask = cache(lambda mask: embed_proposition(_proposition(old, mask), frame).mask)
+            s1, *tables = [{embed_mask(mask): v for mask, v in t.items()} for t in (s1, *tables)]
+            # embedding preserves meet and join: this is the constraints parsed on the new frame
+            model = HybridModel(frame, embed_mask(model.empty_mask))
         if stage.add_source is not None:
-            src = embed(stage.add_source, stage.add_source.frame, self.frame)
-            self.tables = [self.s1, src._masses]
-            self.s1 = _classic_fold(self.tables, self.frame.full_mask)
-            self.smets_mode = self.smets_mode or src.smets_mode
+            src = embed(stage.add_source, frame)
+            tables = [s1, src._masses]
+            s1 = _classic_fold(tables, frame.full_mask)
+            smets_mode = smets_mode or src.smets_mode
         if stage.set_constraints is not None:
-            self.constraint_exprs = tuple(stage.set_constraints)
-        return self.combine(stage.at)
+            model = build_model(frame, (parse(frame, c) for c in stage.set_constraints))
+        yield _result(stage.at, rule, frame, tables, s1, model, smets_mode)
 
 
-def run_session(
-    frame: Frame,
-    sources: list[MassAssignment],
-    stages: list[Stage],
-    rule: str = "dsmh",
-    constraints: tuple[str, ...] = (),
-) -> Iterator[SessionResult]:
+def run_session(frame: Frame, sources: list[MassAssignment], stages: Iterable[Stage],
+                rule: str = "dsmh", constraints: tuple[str, ...] = ()) -> Iterator[SessionResult]:
     """The results of the initial block (labelled "t0") and of each stage, in order.
 
-    "t0" is folded at call time, so a bad start raises here; each later
-    stage is applied only when the caller asks for its result.
+    `rule` is 'dsmh' or 'dsmc'.  "t0" is folded at call time, so a bad
+    start raises here; each later stage is taken from `stages`, which may
+    be any iterable (a live feed included), and applied only when the
+    caller asks for its result.
     """
-    session = FusionSession.start(frame, sources, constraints, rule)
+    if rule not in ("dsmh", "dsmc"):
+        raise RuleNotApplicable(f"rule {rule!r} cannot drive a session")
+    embedded = [embed(src, frame) for src in sources]
+    _common_frame(embedded)  # at least two sources
+    tables = [m._masses for m in embedded]
+    s1 = _classic_fold(tables, frame.full_mask)
+    # parsed one at a time: an n=18 constraint holds 32 KiB until build_model ORs it in
+    model = build_model(frame, (parse(frame, c) for c in constraints))
+    smets_mode = any(m.smets_mode for m in sources)
+    t0 = _result("t0", rule, frame, tables, s1, model, smets_mode)
     # an exhausted list iterator lets go of its list, and with it of t0's result
-    return chain(iter([session.combine("t0")]), map(session.apply, stages))
+    return chain(iter([t0]), _later(stages, rule, frame, tables, s1, model, smets_mode))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsmfusion import (
-    FusionSession,
     Stage,
     build_frame,
     build_model,
@@ -40,7 +39,7 @@ class TestEmbed:
         assert atom_labels(q.frame.n, q.mask) == {"12", "123"}
 
     def test_vacuous_stays_old_union(self, frame2, frame3):
-        v = embed(vacuous(frame2), frame2, frame3)
+        v = embed(vacuous(frame2), frame3)
         (prop, mass), = v.items()
         assert mass == 1.0
         assert to_expression(prop) == "t1|t2"
@@ -48,7 +47,7 @@ class TestEmbed:
 
     def test_masses_and_expressions_unchanged(self, frame2, frame3):
         m = assignment(frame2, {"t1": 0.25, "t2": 0.35, "t1&t2": 0.4})
-        out = embed(m, frame2, frame3)
+        out = embed(m, frame3)
         assert out.total == pytest.approx(1.0)
         assert {to_expression(p): v for p, v in out.items()} == \
                {to_expression(p): v for p, v in m.items()}
@@ -56,7 +55,7 @@ class TestEmbed:
     def test_missing_name(self, frame2):
         other = build_frame(("t1", "x"))
         with pytest.raises(MissingName):
-            embed(vacuous(frame2), frame2, other)
+            embed(vacuous(frame2), other)
 
     def test_name_based_remap(self):
         old = build_frame(("b", "a"))
@@ -129,10 +128,10 @@ class TestRunSession:
         s4 = assignment(fb, {"b1|b4": 1.0})
         s5 = assignment(fb, {"b2": 0.2, "b1&b3": 0.8})
         grouped = dsm_classic([
-            embed(dsm_classic([s1, s2]), fa, joint),
-            embed(dsm_classic([s3, s4, s5]), fb, joint),
+            embed(dsm_classic([s1, s2]), joint),
+            embed(dsm_classic([s3, s4, s5]), joint),
         ])
-        flat = dsm_classic([embed(m, m.frame, joint) for m in (s1, s2, s3, s4, s5)])
+        flat = dsm_classic([embed(m, joint) for m in (s1, s2, s3, s4, s5)])
         for p in set(grouped.keys()) | set(flat.keys()):
             assert grouped[p] == pytest.approx(flat[p], abs=1e-12)
 
@@ -217,17 +216,17 @@ def oracle_session(frame, sources, stages, rule="dsmh", constraints=()):
     A new source first collapses the factors into their classic combination.
     Returns the per-stage results and, under dsmh, the per-stage breakdowns.
     """
-    factors = [embed(src, src.frame, frame) for src in sources]
+    factors = [embed(src, frame) for src in sources]
     results, breakdowns = [], []
     for stage in [None, *stages]:
         if stage is not None:
             if stage.add_elements:
                 grown = build_frame(frame.names + tuple(stage.add_elements))
-                factors = [embed(f, frame, grown) for f in factors]
+                factors = [embed(f, grown) for f in factors]
                 frame = grown
             if stage.add_source is not None:
                 src = stage.add_source
-                factors = [dsm_classic(factors), embed(src, src.frame, frame)]
+                factors = [dsm_classic(factors), embed(src, frame)]
             if stage.set_constraints is not None:
                 constraints = stage.set_constraints
         model = build_model(frame, [parse(frame, c) for c in constraints])
@@ -288,6 +287,14 @@ def test_session_matches_factor_list_oracle(data):
                 assert_same_table(getattr(rec.breakdown, table), getattr(want, table))
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of each call to dynamic.<name>, then make the call."""
+    calls = []
+    real = getattr(dynamic, name)
+    monkeypatch.setattr(dynamic, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 def test_constraint_only_stage_keeps_the_tables(frame2, frame3, monkeypatch):
     """A constraint-only stage seals nothing: it folds the same focal tables under the new model.
 
@@ -295,26 +302,24 @@ def test_constraint_only_stage_keeps_the_tables(frame2, frame3, monkeypatch):
     its tables, and reads that S1 as it is on a constraint-only or
     grow-only stage, under `dsmh` and `dsmc` alike.
     """
-    folds = []
-    classic_fold = dynamic._classic_fold
-    monkeypatch.setattr(dynamic, "_classic_fold",
-                        lambda tables, alive: folds.append(tables) or classic_fold(tables, alive))
+    folds = _spy(monkeypatch, "_classic_fold")
+    breakdowns = _spy(monkeypatch, "_hybrid_breakdown")  # (frame, tables, model, s1)
     m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
     for rule, first, last in (("dsmh", ("t1&t2",), ("t3",)), ("dsmc", (), ())):
         stages = [Stage(at="t1", set_constraints=first), Stage(at="t2", add_elements=("t3",)),
                   Stage(at="t3", add_source=m3), Stage(at="t4", set_constraints=last)]
         folds.clear()
-        session = FusionSession.start(frame2, dyn12_sources(frame2), rule=rule)
+        breakdowns.clear()
+        results = run_session(frame2, dyn12_sources(frame2), stages, rule=rule)
         assert len(folds) == 1
-        history = [session.combine("t0")]
-        tables = session.tables
-        history.append(session.apply(stages[0]))
-        assert session.tables is tables
-        for stage, count in zip(stages[1:], (1, 2, 2)):
-            history.append(session.apply(stage))
+        history = [next(results), next(results)]
+        if rule == "dsmh":  # dsmc reads S1 alone, so only dsmh hands the tables on
+            assert breakdowns[1][1] is breakdowns[0][1]
+        for count in (1, 2, 2):
+            history.append(next(results))
             assert len(folds) == count
-        results, _ = oracle_session(frame2, dyn12_sources(frame2), stages, rule)
-        for rec, result in zip(history, results, strict=True):
+        want, _ = oracle_session(frame2, dyn12_sources(frame2), stages, rule)
+        for rec, result in zip(history, want, strict=True):
             assert_same_table(rec.result, result)
 
 
@@ -333,15 +338,38 @@ def test_session_keeps_no_earlier_result(frame2, frame3):
 
 
 def test_session_folds_later_stages_on_demand(frame2, monkeypatch):
-    """run_session starts the session and folds t0 at once, and each later stage only when read."""
-    applied = []
-    apply = FusionSession.apply
-    monkeypatch.setattr(FusionSession, "apply",
-                        lambda self, stage: applied.append(stage.at) or apply(self, stage))
-    results = run_session(frame2, dyn12_sources(frame2), [Stage(at="t1", set_constraints=("t1&t2",))])
-    assert applied == []
-    assert [rec.label for rec in results] == ["t0", "t1"]
-    assert applied == ["t1"]
+    """run_session folds t0 at once, and takes and applies each later stage only when read."""
+    folds = _spy(monkeypatch, "_classic_fold")
+    breakdowns = _spy(monkeypatch, "_hybrid_breakdown")
+    taken = []
+    late = assignment(frame2, {"t1": 0.6, "t1|t2": 0.4})
+    feed = (taken.append(stage.at) or stage for stage in
+            [Stage(at="t1", set_constraints=("t1&t2",)), Stage(at="t2", add_source=late)])
+    results = run_session(frame2, dyn12_sources(frame2), feed)
+    assert (taken, len(folds), len(breakdowns)) == ([], 1, 1)
+    assert next(results).label == "t0"
+    assert (taken, len(folds), len(breakdowns)) == ([], 1, 1)
+    assert next(results).label == "t1"
+    assert (taken, len(folds), len(breakdowns)) == (["t1"], 1, 2)
+    assert [rec.label for rec in results] == ["t2"]
+    assert (taken, len(folds), len(breakdowns)) == (["t1", "t2"], 2, 3)
+
+
+def test_constraints_are_parsed_once(frame2, monkeypatch):
+    """A constraint set is parsed when it is set, not again at each later stage."""
+    parsed = _spy(monkeypatch, "parse")
+    stages = [Stage(at=f"t{i}") for i in range(1, 6)]
+    results = list(run_session(frame2, dyn12_sources(frame2), stages, constraints=("t1&t2",)))
+    assert len(results) == 6
+    assert parsed == [(frame2, "t1&t2")]
+
+
+@pytest.mark.parametrize("rule", ["yager", "dempster"])
+def test_unknown_rule_raises_before_any_fold(frame2, monkeypatch, rule):
+    folds = _spy(monkeypatch, "_classic_fold")
+    with pytest.raises(RuleNotApplicable, match=repr(rule)):
+        run_session(frame2, dyn12_sources(frame2), [], rule=rule)
+    assert folds == []
 
 
 def test_huge_integer_label():
