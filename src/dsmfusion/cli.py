@@ -26,15 +26,13 @@ from .bba import MassAssignment
 from .dynamic import _list, _string_list, run_session, stages_from
 from .errors import DsmError, FullContradiction, ScenarioError
 from .exprparse import _parse_or_empty, parse
-from .lattice import (ENUMERATION_LIMIT, FRAME_LIMIT, LOAD_LIMIT, Frame, Proposition, build_frame,
-                      enumerate_hpset)
+from .lattice import (ENUMERATION_LIMIT, FRAME_LIMIT, LOAD_LIMIT, Frame, Proposition,
+                      _check_enumerable, build_frame, enumerate_hpset)
 from .model import build_model, encoding_matrix, shafer_model, survivors
 from .render import breakdown_lines, class_lines, compressed_lines, mass_lines
 from .rules import (
     MixtureSpec,
     RULE_NAMES,
-    _classic_fold,
-    _hybrid_breakdown,
     bayesian_mixture,
     dempster,
     dsm_classic,
@@ -132,19 +130,22 @@ def _breakdown_rows(bd) -> list[Proposition]:
 
 def cmd_hpset(args) -> int:
     frame = build_frame([s for s in args.frame.split(",") if s])
-    constraints = []
-    for item in args.constraints or []:
-        # no identifier starts with "@", so a file spelled "@path" shadows no expression
-        if item.startswith("@"):
-            try:
-                with open(item[1:], "r", encoding="utf-8") as fh:
-                    exprs = [ln.strip() for ln in fh if ln.strip()]
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ScenarioError(f"cannot read constraints file {item[1:]!r}: {exc}") from exc
-        else:
-            exprs = [item]
-        constraints += [parse(frame, e) for e in exprs]
-    model = build_model(frame, constraints)
+    _check_enumerable(frame)  # before any constraint is read
+
+    def constraints():
+        for item in args.constraints or []:
+            # no identifier starts with "@", so a file spelled "@path" shadows no expression
+            if item.startswith("@"):
+                try:
+                    with open(item[1:], "r", encoding="utf-8") as fh:
+                        exprs = [ln.strip() for ln in fh if ln.strip()]
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise ScenarioError(f"cannot read constraints file {item[1:]!r}: {exc}") from exc
+            else:
+                exprs = [item]
+            yield from (parse(frame, e) for e in exprs)
+
+    model = build_model(frame, constraints())
     classes = survivors(model)
     for line in class_lines(classes):
         _print(line)
@@ -253,33 +254,30 @@ def sweep_rows(steps: int) -> list[tuple[float, float | None, float | None, floa
     columns are None where the orthogonal sum is undefined.  `steps` runs
     from 2 to SWEEP_LIMIT.
 
-    One classic fold (S1) per row serves both rules.  Every focal set is a
+    One `dsm_hybrid` call per row serves both rules.  Every focal set is a
     singleton and, under Shafer's model, the meet of two different
-    singletons is empty, so S1's t1 and t2 entries are exactly the sums
-    Dempster's own fold makes: its columns normalize them, and the hybrid
-    columns read S1 as `dsm_hybrid` does.
+    singletons is empty, so the hybrid t1 and t2 entries are S1's, exactly
+    the sums Dempster's own fold makes, and t1|t2 holds the conflict:
+    Dempster's columns normalize the t1 and t2 entries.
     """
     if not 2 <= steps <= SWEEP_LIMIT:
         raise ScenarioError(f"sweep takes 2 to {SWEEP_LIMIT} steps, not {steps}")
     frame = build_frame(("t1", "t2"))
     t1, t2, union = (parse(frame, e).mask for e in ("t1", "t2", "t1|t2"))
-    conflicting, full = t1 & t2, frame.full_mask
     shafer = shafer_model(frame)
     rows = []
     for i in range(steps):
         eps = i / (steps - 1)
-        tables = [MassAssignment._from_masks(frame, {t1: 1.0 - eps, t2: eps})._masses,
-                  MassAssignment._from_masks(frame, {t1: eps, t2: 1.0 - eps})._masses]
-        s1 = _classic_fold(tables, full)
-        surviving = fsum((s1.get(t1, 0.0), s1.get(t2, 0.0)))
-        if surviving <= 0.0 or s1.get(conflicting, 0.0) >= 1.0:
+        sources = [MassAssignment._from_masks(frame, {t1: 1.0 - eps, t2: eps}),
+                   MassAssignment._from_masks(frame, {t1: eps, t2: 1.0 - eps})]
+        hy = dsm_hybrid(sources, shafer).result._masses
+        h1, h2, conflict = hy.get(t1, 0.0), hy.get(t2, 0.0), hy.get(union, 0.0)
+        surviving = fsum((h1, h2))
+        if surviving <= 0.0 or conflict >= 1.0:
             d1 = d2 = None
         else:
-            dm = MassAssignment._from_masks(frame, {mask: s1[mask] / surviving
-                                                    for mask in (t1, t2) if mask in s1})
-            d1, d2 = dm._masses.get(t1, 0.0), dm._masses.get(t2, 0.0)
-        hy = _hybrid_breakdown(frame, tables, shafer, s1).result._masses
-        rows.append((eps, d1, d2, hy.get(t1, 0.0), hy.get(t2, 0.0), hy.get(union, 0.0)))
+            d1, d2 = h1 / surviving, h2 / surviving
+        rows.append((eps, d1, d2, h1, h2, conflict))
     return rows
 
 

@@ -370,11 +370,13 @@ def enumerate_hpset(frame: Frame) -> list[Proposition]:
     Deterministic order: atom count, then atom-bitset value.  Refuses frames
     beyond ENUMERATION_LIMIT.
     """
-    if frame.n > ENUMERATION_LIMIT:
-        raise FrameTooLarge(
-            f"enumerating n={frame.n} exceeds the limit {ENUMERATION_LIMIT}"
-        )
+    _check_enumerable(frame)
     return [_proposition(frame, m) for m in _up_closed_masks(frame.n)]
+
+
+def _check_enumerable(frame: Frame) -> None:
+    if frame.n > ENUMERATION_LIMIT:
+        raise FrameTooLarge(f"enumerating n={frame.n} exceeds the limit {ENUMERATION_LIMIT}")
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dsmfusion import (LOAD_LIMIT, RULE_NAMES, MassAssignment, build_frame, build_model, dempster,
-                       dsm_hybrid, parse, shafer_model)
+from dsmfusion import (ENUMERATION_LIMIT, LOAD_LIMIT, RULE_NAMES, MassAssignment, build_frame,
+                       build_model, dempster, dsm_hybrid, parse, shafer_model)
 from dsmfusion import cli
 from dsmfusion.cli import SWEEP_LIMIT, main, sweep_rows
 from dsmfusion.errors import FullContradiction, ScenarioError
@@ -154,6 +154,15 @@ class TestHpset:
         res = run_cli("hpset", "--frame", "t1,t2", "--constraints", "t1 &")
         assert res.returncode == 2
         assert "byte" in res.stderr
+
+    def test_frame_refused_before_constraints(self, tmp_path):
+        # a frame past ENUMERATION_LIMIT is refused before any constraint is read or parsed
+        frame = ",".join(f"t{i}" for i in range(1, ENUMERATION_LIMIT + 2))
+        for cons in ("t1 &", f"@{tmp_path / 'none'}"):
+            res = run_cli("hpset", "--frame", frame, "--constraints", cons)
+            assert res.returncode == 2
+            n = ENUMERATION_LIMIT + 1
+            assert res.stderr == f"error: enumerating n={n} exceeds the limit {ENUMERATION_LIMIT}\n"
 
 
 class TestCombine:
@@ -487,7 +496,7 @@ class TestSweep:
     @pytest.mark.parametrize("steps", [1, SWEEP_LIMIT + 1])
     def test_step_limit(self, capsys, steps):
         # refused before any row is computed
-        with mock.patch.object(cli, "_classic_fold", side_effect=AssertionError("computed")):
+        with mock.patch.object(cli, "dsm_hybrid", side_effect=AssertionError("computed")):
             assert main(["sweep", "--epsilon-steps", str(steps)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and str(SWEEP_LIMIT) in captured.err
