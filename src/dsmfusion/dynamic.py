@@ -12,9 +12,9 @@ and the model are unchanged.
 
 A session keeps no results: `run_session` yields each stage's compressed
 result when the caller asks for it (so the CLI refuses `--compress` on
-events), and the caller keeps what it reads.  Stages may come from any
-iterable, a live feed included.
+events), and the caller keeps what it reads.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass
