@@ -99,6 +99,30 @@ MUTANTS = (
            "normalized = {mask: v / surviving for mask, v in combined.items()}",
            "normalized = {mask: v / (surviving + conflict) for mask, v in combined.items()}",
            ("test_rules.py",)),
+    Mutant("the LOAD_LIMIT count skips event sources", "cli.py",
+           'bits += rows(event.get("add_source")) * ((1 << n) - 1)',
+           "bits += 0",
+           ("test_cli.py",)),
+    Mutant("the LOAD_LIMIT count drops mixture entries", "cli.py",
+           'bits = (sum(map(rows, doc["sources"])) + entries) * ((1 << n) - 1)',
+           'bits = sum(map(rows, doc["sources"])) * ((1 << n) - 1)',
+           ("test_cli.py",)),
+    Mutant("SWEEP_LIMIT admits one step more", "cli.py",
+           "if not 2 <= steps <= SWEEP_LIMIT:",
+           "if not 2 <= steps <= SWEEP_LIMIT + 1:",
+           ("test_cli.py",)),
+    Mutant("the sweep pairs a route with another pair's product", "cli.py",
+           "fsum(map(mul, products, column))",
+           "fsum(map(mul, products[1:] + products[:1], column))",
+           ("test_cli.py",)),
+    Mutant("hpset reads its constraints before checking its frame", "cli.py",
+           "    _check_enumerable(frame)  # before any constraint is read\n",
+           "",
+           ("test_cli.py",)),
+    Mutant("survivors groups on the unmasked key", "model.py",
+           "entries = ((mask & alive, mask) for mask in _up_closed_masks(model.frame.n))",
+           "entries = ((mask, mask) for mask in _up_closed_masks(model.frame.n))",
+           ("test_model.py",)),
 )
 
 EQUIVALENT = (

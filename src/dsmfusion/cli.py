@@ -21,6 +21,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 from functools import cache
 from math import fsum
+from operator import mul
 
 from .bba import MassAssignment
 from .dynamic import _list, _string_list, run_session, stages_from
@@ -96,15 +97,18 @@ def _source_from(obj: dict, frame: Frame, smets_mode: bool) -> MassAssignment:
 def _check_load(doc: dict, n: int) -> None:
     """Refuse, before any expression is parsed, masses that would hold past LOAD_LIMIT atom bits.
 
-    Counts the mass rows of the sources on the scenario's n singletons and
-    those of each event's added source on the frame that event grows;
-    malformed parts count nothing here and are refused where they are read.
+    Counts the mass rows of the sources on the scenario's n singletons, one
+    row more for each mixture entry (its model's empty atoms), and the rows
+    of each event's added source on the frame that event grows; malformed
+    parts count nothing here and are refused where they are read.
     """
     def rows(source) -> int:
         masses = source.get("masses") if isinstance(source, dict) else None
         return len(masses) if isinstance(masses, list) else 0
 
-    bits = sum(map(rows, doc["sources"])) * ((1 << n) - 1)
+    mixture = doc.get("mixture")
+    entries = len(mixture) if isinstance(mixture, list) else 0
+    bits = (sum(map(rows, doc["sources"])) + entries) * ((1 << n) - 1)
     events = doc.get("events")
     for event in events if isinstance(events, list) else ():
         if isinstance(event, dict):
@@ -220,9 +224,6 @@ def cmd_combine(args) -> int:
     _check_load(doc, frame.n)
     sources = [_source_from(s, frame, smets_mode) for s in doc["sources"]]
     constraint_exprs = _string_list(doc, "constraints")
-    # parsed one at a time: an n=18 constraint holds 32 KiB until build_model ORs it in
-    model = build_model(frame, (parse(frame, e) for e in constraint_exprs))
-
     events = _list(doc, "events")
     if events and args.rule not in ("dsmh", "dsmc"):
         raise ScenarioError("scenarios with events run under 'dsmh' or 'dsmc'")
@@ -231,6 +232,9 @@ def cmd_combine(args) -> int:
     if events and args.compress:
         raise ScenarioError("--compress does not apply to events: every stage's result is compressed")
     if not events:
+        # parsed one at a time (a session parses its own): an n=18 constraint holds
+        # 32 KiB until build_model ORs it in
+        model = build_model(frame, (parse(frame, e) for e in constraint_exprs))
         return _combine_static(doc, frame, sources, model, args)
 
     stages = stages_from(events, frame.names, lambda grown, obj: _source_from(obj, grown, False))
@@ -254,24 +258,34 @@ def sweep_rows(steps: int) -> list[tuple[float, float | None, float | None, floa
     columns are None where the orthogonal sum is undefined.  `steps` runs
     from 2 to SWEEP_LIMIT.
 
-    One `dsm_hybrid` call per row serves both rules.  Every focal set is a
-    singleton and, under Shafer's model, the meet of two different
-    singletons is empty, so the hybrid t1 and t2 entries are S1's, exactly
-    the sums Dempster's own fold makes, and t1|t2 holds the conflict:
-    Dempster's columns normalize the t1 and t2 entries.
+    The rows come from four `dsm_hybrid` calls, one per pair (x, y) of the
+    focal sets t1 and t2, each on the one-focal-set sources {x: 1} and
+    {y: 1} under Shafer's model: that pair's route, 1.0 on the one key its
+    product lands on (S1's meet, S3's join or S2's target).  A two-source
+    combination is bilinear in the masses, so a row's hybrid entry on key A
+    is the exactly rounded sum of m1(x) * m2(y) * route_xy(A) over the four
+    pairs, as the engine folds it.  The meet of two different singletons is
+    empty under Shafer's model, so the t1 and t2 entries are S1's, the sums
+    Dempster's own fold makes, and t1|t2 holds the conflict: Dempster's
+    columns normalize the t1 and t2 entries.
     """
     if not 2 <= steps <= SWEEP_LIMIT:
         raise ScenarioError(f"sweep takes 2 to {SWEEP_LIMIT} steps, not {steps}")
     frame = build_frame(("t1", "t2"))
     t1, t2, union = (parse(frame, e).mask for e in ("t1", "t2", "t1|t2"))
     shafer = shafer_model(frame)
+    pairs = [(x, y) for x in (t1, t2) for y in (t1, t2)]
+    routes = [dsm_hybrid([MassAssignment._from_masks(frame, {x: 1.0}),
+                          MassAssignment._from_masks(frame, {y: 1.0})], shafer).result._masses
+              for x, y in pairs]
+    # route_xy(A) for the keys A = t1, t2, t1|t2, each over the pairs in order
+    columns = [[route.get(key, 0.0) for route in routes] for key in (t1, t2, union)]
     rows = []
     for i in range(steps):
         eps = i / (steps - 1)
-        sources = [MassAssignment._from_masks(frame, {t1: 1.0 - eps, t2: eps}),
-                   MassAssignment._from_masks(frame, {t1: eps, t2: 1.0 - eps})]
-        hy = dsm_hybrid(sources, shafer).result._masses
-        h1, h2, conflict = hy.get(t1, 0.0), hy.get(t2, 0.0), hy.get(union, 0.0)
+        m1, m2 = {t1: 1.0 - eps, t2: eps}, {t1: eps, t2: 1.0 - eps}
+        products = [m1[x] * m2[y] for x, y in pairs]
+        h1, h2, conflict = (fsum(map(mul, products, column)) for column in columns)
         surviving = fsum((h1, h2))
         if surviving <= 0.0 or conflict >= 1.0:
             d1 = d2 = None

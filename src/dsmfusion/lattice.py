@@ -77,9 +77,10 @@ FOLD_LIMIT = 2**30
 
 #: Budget on the atom bits a scenario's parsed masses hold: mass rows x the
 #: atom count (2^n - 1) of the frame each row is parsed on, counted before
-#: any expression is parsed.  An n=18 row holds 32 KiB, so this admits 512
-#: rows there (16 MiB of masks); 10,000 such rows peaked at 358 MB under
-#: Python 3.11 before the first fold step refused them.
+#: any expression is parsed; each mixture entry counts as one row, for its
+#: model's empty atoms.  An n=18 row holds 32 KiB, so this admits 512 rows
+#: there (16 MiB of masks); 10,000 such rows peaked at 358 MB under Python
+#: 3.11 before the first fold step refused them.
 LOAD_LIMIT = 2**27
 
 #: Entries kept by each cache that generators read: the up-closures of

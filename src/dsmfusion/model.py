@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
 from typing import Iterable, Mapping
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MassOnEmptyClass, VacuousModel
-from .lattice import (Frame, Proposition, _atom_bits, _digit_tuple, _proposition, _up_closure,
-                      enumerate_hpset)
+from .lattice import (Frame, Proposition, _atom_bits, _check_enumerable, _digit_tuple, _proposition,
+                      _up_closed_masks, _up_closure)
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,22 @@ def shafer_model(frame: Frame) -> HybridModel:
 
 @dataclass(frozen=True)
 class EquivClass:
+    """One model-equivalence class: its representative and its members' atom bitsets.
+
+    `members`, the member propositions in canonical order, are built when
+    first read; len() counts them without building them.
+    """
+
     representative: Proposition
-    members: tuple[Proposition, ...]
+    member_masks: tuple[int, ...]
+
+    @cached_property
+    def members(self) -> tuple[Proposition, ...]:
+        frame = self.representative.frame
+        return tuple(_proposition(frame, mask) for mask in self.member_masks)
+
+    def __len__(self) -> int:
+        return len(self.member_masks)
 
 
 def _classes(model: HybridModel, entries: Iterable[tuple[int, object]]) -> list[tuple[int, list]]:
@@ -120,11 +135,14 @@ def survivors(model: HybridModel) -> list[EquivClass]:
     The merged-empty class is included, so the class count matches the
     element counts of the reduced lattice.  Classes are ordered by their
     surviving atom sets (count, then bitset value); members come in
-    canonical order.
+    canonical order.  The lattice is grouped as bitsets: each class builds
+    one proposition, its representative, and its members when they are read.
     """
-    entries = ((model.reduced_mask(p), p) for p in enumerate_hpset(model.frame))
-    return [EquivClass(_proposition(model.frame, rep), tuple(members))
-            for rep, members in _classes(model, entries)]
+    _check_enumerable(model.frame)
+    alive = ~model.empty_mask
+    entries = ((mask & alive, mask) for mask in _up_closed_masks(model.frame.n))
+    return [EquivClass(_proposition(model.frame, rep), tuple(masks))
+            for rep, masks in _classes(model, entries)]
 
 
 def encoding_matrix(model: HybridModel) -> tuple[list[tuple[int, ...]], list[list[int]]]:

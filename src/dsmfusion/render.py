@@ -72,5 +72,5 @@ def compressed_lines(
 
 def class_lines(classes: Sequence[EquivClass]) -> list[str]:
     """One row per model class: representative and member count."""
-    return [f"{to_expression(c.representative):{NAME_WIDTH}s} members={len(c.members)}"
+    return [f"{to_expression(c.representative):{NAME_WIDTH}s} members={len(c)}"
             for c in classes]

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dsmfusion import (ENUMERATION_LIMIT, LOAD_LIMIT, RULE_NAMES, MassAssignment, build_frame,
                        build_model, dempster, dsm_hybrid, parse, shafer_model)
-from dsmfusion import cli
+from dsmfusion import cli, dynamic
 from dsmfusion.cli import SWEEP_LIMIT, main, sweep_rows
 from dsmfusion.errors import FullContradiction, ScenarioError
 
@@ -77,6 +79,9 @@ def past_fold_limit():
     a = [{"prop": p, "mass": "0.015"} for p in props[1:65]] + [{"prop": props[0], "mass": "0.04"}]
     b = [{"prop": p, "mass": "0.015625"} for p in props[:64]]
     return {"frame": names, "sources": [{"name": "a", "masses": a}, {"name": "b", "masses": b}]}
+
+
+FIT_ROWS = LOAD_LIMIT // (2**18 - 1)  # 512 mass rows at n=18
 
 
 def load_rows(rows):
@@ -262,15 +267,22 @@ class TestCombine:
         rule = "mixture" if "mixture" in doc else "dsmh"
         assert main(["combine", "--scenario", path, "--rule", rule]) == 2
 
-    @pytest.mark.parametrize("rows", [LOAD_LIMIT // (2**18 - 1), LOAD_LIMIT // (2**18 - 1) + 1])
-    def test_load_limit(self, scenario_file, capsys, rows):
+    @pytest.mark.parametrize("rows,entries", [
+        pytest.param(rows, entries, id=f"{rows}" + (f"+{entries}-mixture" if entries else ""))
+        for rows, entries in [(FIT_ROWS, 0), (FIT_ROWS + 1, 0), (FIT_ROWS - 2, 2),
+                              (FIT_ROWS - 2, 3), (3, FIT_ROWS - 3), (3, FIT_ROWS - 2)]])
+    def test_load_limit(self, scenario_file, capsys, rows, entries):
         # 512 rows of 2^18 - 1 atom bits fit LOAD_LIMIT and reach the parser; one more is
-        # refused before any expression is parsed
-        path = scenario_file(load_rows(rows))
-        with mock.patch.object(cli, "_parse_or_empty", side_effect=ScenarioError("parsed")):
+        # refused before any expression is parsed.  A mixture entry counts as one row: its
+        # model holds one mask of the frame's atoms.
+        doc = load_rows(rows)
+        doc["mixture"] = [{"constraints": ["t1&t2"], "probability": "1"}] * entries
+        path = scenario_file(doc)
+        with mock.patch.object(cli, "_parse_or_empty", side_effect=ScenarioError("parsed")), \
+                mock.patch.object(cli, "parse", side_effect=ScenarioError("parsed")):
             assert main(["combine", "--scenario", path, "--rule", "dsmh"]) == 2
         err = capsys.readouterr().err
-        past = rows * (2**18 - 1) > LOAD_LIMIT
+        past = (rows + entries) * (2**18 - 1) > LOAD_LIMIT
         assert ("LOAD_LIMIT" in err) == past and ("parsed" in err) != past
 
     def test_unreadable_files_exit_2(self, tmp_path):
@@ -354,6 +366,25 @@ class TestCombine:
         assert captured.out == "" and "--breakdown" in captured.err
         assert main(["combine", "--scenario", path, "--rule", "dsmh", "--breakdown"]) == 0
         assert capsys.readouterr().out.count("phi") == 2
+
+    def test_events_build_their_model_once(self, scenario_file):
+        # a trivial top-level model: parsed and warned about by the session alone
+        path = scenario_file({
+            "frame": ["t1", "t2"],
+            "sources": [{"name": "a", "masses": [{"prop": "t1", "mass": "0.4"},
+                                                 {"prop": "t2", "mass": "0.6"}]},
+                        {"name": "b", "masses": [{"prop": "t2", "mass": "1"}]}],
+            "constraints": ["t1"],
+            "events": [{"at": "later"}]})
+        spy = mock.Mock(wraps=parse)
+        with mock.patch.object(cli, "parse", spy), mock.patch.object(dynamic, "parse", spy), \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            assert main(["combine", "--scenario", path, "--rule", "dsmh"]) == 0
+        assert [c.args[1] for c in spy.call_args_list] == ["t1"]
+        assert [str(w.message) for w in caught if "trivial model" in str(w.message)] == \
+            ["trivial model: a single atom survives, so only one non-empty proposition remains"]
 
     @pytest.mark.parametrize("rule", ["dsmh", "dsmc"])
     def test_events_refuse_compress(self, scenario_file, capsys, rule):
@@ -492,6 +523,13 @@ class TestSweep:
         assert row_01[0] == pytest.approx(0.1)
         assert row_01[3] == pytest.approx(0.09, abs=1e-12)
         assert row_01[5] == pytest.approx(0.82, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [2, SWEEP_LIMIT])
+    def test_four_engine_calls(self, steps):
+        # one dsm_hybrid call per pair of focal sets, none per row
+        with mock.patch.object(cli, "dsm_hybrid", wraps=dsm_hybrid) as spy:
+            assert len(sweep_rows(steps)) == steps
+        assert spy.call_count == 4
 
     @pytest.mark.parametrize("steps", [1, SWEEP_LIMIT + 1])
     def test_step_limit(self, capsys, steps):

@@ -147,6 +147,21 @@ class TestSurvivors:
         for cls in classes:
             for member in cls.members:
                 assert m.reduce(member) == cls.representative
+        # n=5 under two constraints: the lattice grouped by reduced_mask, members in
+        # canonical order, classes by their surviving atoms (count, then bitset)
+        frame5 = build_frame([f"t{i}" for i in range(1, 6)])
+        m5 = model_for(frame5, "(t1|t2)&t3", "t4&t5")
+        groups = {}
+        for p in enumerate_hpset(frame5):
+            groups.setdefault(m5.reduced_mask(p), []).append(p)
+        classes = survivors(m5)
+        assert [m5.reduced_mask(cls.representative) for cls in classes] == \
+            sorted(groups, key=lambda r: (r.bit_count(), r))
+        for cls in classes:
+            assert list(cls.members) == groups[m5.reduced_mask(cls.representative)]
+            assert cls.representative == m5.reduce(cls.members[0])
+            assert len(cls) == len(cls.members)
+        assert len(classes) == 344
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shafer_power_set_bijection(self, n):
