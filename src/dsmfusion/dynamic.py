@@ -158,12 +158,13 @@ def run_session(frame: Frame, sources: list[MassAssignment], stages: Iterable[St
     """
     if rule not in ("dsmh", "dsmc"):
         raise RuleNotApplicable(f"rule {rule!r} cannot drive a session")
+    # parsed one at a time, before any fold: an n=18 constraint holds 32 KiB until
+    # build_model ORs it in
+    model = build_model(frame, (parse(frame, c) for c in constraints))
     embedded = [embed(src, frame) for src in sources]
     _common_frame(embedded)  # at least two sources
     tables = [m._masses for m in embedded]
     s1 = _classic_fold(tables, frame.full_mask)
-    # parsed one at a time: an n=18 constraint holds 32 KiB until build_model ORs it in
-    model = build_model(frame, (parse(frame, c) for c in constraints))
     smets_mode = any(m.smets_mode for m in sources)
     t0 = _result("t0", rule, frame, tables, s1, model, smets_mode)
     # an exhausted list iterator lets go of its list, and with it of t0's result

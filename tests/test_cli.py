@@ -386,6 +386,13 @@ class TestCombine:
         assert [str(w.message) for w in caught if "trivial model" in str(w.message)] == \
             ["trivial model: a single atom survives, so only one non-empty proposition remains"]
 
+    def test_events_refuse_a_bad_constraint_before_any_fold(self, scenario_file, capsys):
+        path = scenario_file(dict(SCENARIO_AB, constraints=["a &"], events=[{"at": "later"}]))
+        with mock.patch.object(dynamic, "_classic_fold", side_effect=AssertionError("folded")):
+            assert main(["combine", "--scenario", path, "--rule", "dsmh"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
     @pytest.mark.parametrize("rule", ["dsmh", "dsmc"])
     def test_events_refuse_compress(self, scenario_file, capsys, rule):
         path = scenario_file(dict(SCENARIO_AB, events=[{"at": "late", "add_elements": ["c"]}]))
