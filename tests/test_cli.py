@@ -278,8 +278,7 @@ class TestCombine:
         doc = load_rows(rows)
         doc["mixture"] = [{"constraints": ["t1&t2"], "probability": "1"}] * entries
         path = scenario_file(doc)
-        with mock.patch.object(cli, "_parse_or_empty", side_effect=ScenarioError("parsed")), \
-                mock.patch.object(cli, "parse", side_effect=ScenarioError("parsed")):
+        with mock.patch.object(cli, "_parse_or_empty", side_effect=ScenarioError("parsed")):
             assert main(["combine", "--scenario", path, "--rule", "dsmh"]) == 2
         err = capsys.readouterr().err
         past = (rows + entries) * (2**18 - 1) > LOAD_LIMIT
