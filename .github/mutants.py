@@ -80,8 +80,8 @@ MUTANTS = (
            "model = HybridModel(frame, model.empty_mask)",
            ("test_dynamic.py",)),
     Mutant("compress groups on the unmasked key", "model.py",
-           "entries = ((mask & alive, (mask, v)) for mask, v in m._masses.items())",
-           "entries = ((mask, (mask, v)) for mask, v in m._masses.items())",
+           "entries = ((mask & alive, (mask, v)) for mask, v in masses.items())",
+           "entries = ((mask, (mask, v)) for mask, v in masses.items())",
            ("test_model.py", "test_rules.py")),
     Mutant("validate lets negatives down to -1e-3 through", "bba.py",
            "if value < 0:",
@@ -123,6 +123,22 @@ MUTANTS = (
            "entries = ((mask & alive, mask) for mask in _up_closed_masks(model.frame.n))",
            "entries = ((mask, mask) for mask in _up_closed_masks(model.frame.n))",
            ("test_model.py",)),
+    Mutant("the surviving atoms keep the bits past the frame", "model.py",
+           "return self.frame.full_mask & ~self.empty_mask",
+           "return ~self.empty_mask",
+           ("test_model.py",)),
+    Mutant("an event's added source ignores smets_mode", "cli.py",
+           "_source_from(obj, grown, smets_mode))",
+           "_source_from(obj, grown, False))",
+           ("test_cli.py",)),
+    Mutant("breakdown rows past ENUMERATION_LIMIT drop S3's keys", "cli.py",
+           "sorted(s1.keys() | s2.keys() | s3.keys(), key=",
+           "sorted(s1.keys() | s2.keys(), key=",
+           ("test_cli.py",)),
+    Mutant("hpset --matrix groups the lattice a second time", "cli.py",
+           "encoding_matrix(model, classes)",
+           "encoding_matrix(model, survivors(model))",
+           ("test_cli.py",)),
 )
 
 EQUIVALENT = (

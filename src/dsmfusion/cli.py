@@ -22,13 +22,14 @@ from decimal import Decimal, InvalidOperation
 from functools import cache
 from math import fsum
 from operator import mul
+from typing import Sequence
 
 from .bba import MassAssignment
 from .dynamic import _list, _string_list, run_session, stages_from
 from .errors import DsmError, FullContradiction, ScenarioError
 from .exprparse import _parse_or_empty, parse
-from .lattice import (ENUMERATION_LIMIT, FRAME_LIMIT, LOAD_LIMIT, Frame, Proposition,
-                      _check_enumerable, build_frame, enumerate_hpset)
+from .lattice import (ENUMERATION_LIMIT, FRAME_LIMIT, LOAD_LIMIT, Frame, _check_enumerable,
+                      _up_closed_masks, build_frame)
 from .model import build_model, encoding_matrix, shafer_model, survivors
 from .render import breakdown_lines, class_lines, compressed_lines, mass_lines
 from .rules import (
@@ -122,14 +123,14 @@ def _check_load(doc: dict, n: int) -> None:
                             f"past LOAD_LIMIT = {LOAD_LIMIT}")
 
 
-def _breakdown_rows(bd) -> list[Proposition]:
-    # Small frames show every lattice element; larger ones only those the
-    # combination touched.
-    frame = bd.model.frame
-    if frame.n <= ENUMERATION_LIMIT:
-        return enumerate_hpset(frame)
-    return sorted(set(bd.s1) | set(bd.s2) | set(bd.s3) | set(bd.result.keys()),
-                  key=lambda p: p.sort_key)
+def _breakdown_rows(bd) -> Sequence[int]:
+    # Small frames show every lattice element; larger ones only the keys the
+    # combination touched (the result's keys are among S1's, S2's and S3's).
+    n = bd.model.frame.n
+    if n <= ENUMERATION_LIMIT:
+        return _up_closed_masks(n)
+    s1, s2, s3 = bd._tables
+    return sorted(s1.keys() | s2.keys() | s3.keys(), key=lambda mask: (mask.bit_count(), mask))
 
 
 def cmd_hpset(args) -> int:
@@ -155,7 +156,7 @@ def cmd_hpset(args) -> int:
         _print(line)
     _print(f"total classes: {len(classes)}")
     if args.matrix:
-        basis, matrix = encoding_matrix(model)
+        basis, matrix = encoding_matrix(model, classes)
         _print("basis: " + " ".join(f"<{''.join(map(str, digits))}>" for digits in basis))
         for row in matrix:
             _print(" ".join(str(x) for x in row))
@@ -205,7 +206,7 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
         lines += mass_lines(result, csv)
     if args.compress:
         lines.append("" if csv else "-- compressed --")
-        lines += compressed_lines(model, dict(result.items()), csv)
+        lines += compressed_lines(model, result._masses, csv)
     for line in lines:
         _print(line)
     return 0
@@ -237,7 +238,7 @@ def cmd_combine(args) -> int:
         model = build_model(frame, (parse(frame, e) for e in constraint_exprs))
         return _combine_static(doc, frame, sources, model, args)
 
-    stages = stages_from(events, frame.names, lambda grown, obj: _source_from(obj, grown, False))
+    stages = stages_from(events, frame.names, lambda grown, obj: _source_from(obj, grown, smets_mode))
     csv = args.out == "csv"
     lines = []
     for rec in run_session(frame, sources, stages, rule=args.rule, constraints=constraint_exprs):

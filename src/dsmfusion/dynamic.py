@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 from .bba import MassAssignment
 from .errors import MissingName, RuleNotApplicable, ScenarioError
 from .exprparse import parse
-from .lattice import Frame, Proposition, _proposition, build_frame, from_generators, to_expression
+from .lattice import Frame, Proposition, _proposition, build_frame, from_generators
 from .model import HybridModel, build_model, compress
 from .rules import HybridBreakdown, _classic_fold, _common_frame, _hybrid_breakdown
 
@@ -111,9 +111,6 @@ class SessionResult:
     label: str
     result: MassAssignment  # compressed for reporting
     breakdown: HybridBreakdown | None  # None under 'dsmc'
-
-    def by_expression(self) -> dict[str, float]:
-        return {to_expression(p): v for p, v in self.result.items()}
 
 
 def _result(label: str, rule: str, frame: Frame, tables: list, s1: dict, model: HybridModel,

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MassOnEmptyClass, VacuousModel
@@ -31,13 +31,18 @@ class HybridModel:
     def is_free(self) -> bool:
         return self.empty_mask == 0
 
+    @cached_property
+    def alive(self) -> int:
+        """The atoms no constraint empties: a key holding none of them is empty (phi is 0)."""
+        return self.frame.full_mask & ~self.empty_mask
+
     def _check(self, p: Proposition) -> None:
         if p.frame != self.frame:
             raise FrameMismatch("proposition is not on the model's frame")
 
     def is_empty(self, p: Proposition) -> bool:
         self._check(p)
-        return p.mask & ~self.empty_mask == 0
+        return not p.mask & self.alive
 
     def phi(self, p: Proposition) -> int:
         """Characteristic emptiness: 0 when p is (forced) empty, 1 otherwise."""
@@ -56,7 +61,7 @@ class HybridModel:
     def reduced_mask(self, p: Proposition) -> int:
         """Surviving atoms of p; equal reduced masks mean model-equivalent."""
         self._check(p)
-        return p.mask & ~self.empty_mask
+        return p.mask & self.alive
 
 
 def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel:
@@ -75,7 +80,7 @@ def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel
     if empty_mask == frame.full_mask:
         raise VacuousModel("constraints empty the whole frame")
     model = HybridModel(frame, empty_mask)
-    if empty_mask and (frame.full_mask & ~empty_mask).bit_count() == 1:
+    if empty_mask and model.alive.bit_count() == 1:
         warnings.warn(
             "trivial model: a single atom survives, so only one non-empty "
             "proposition remains",
@@ -139,31 +144,44 @@ def survivors(model: HybridModel) -> list[EquivClass]:
     one proposition, its representative, and its members when they are read.
     """
     _check_enumerable(model.frame)
-    alive = ~model.empty_mask
+    alive = model.alive
     entries = ((mask & alive, mask) for mask in _up_closed_masks(model.frame.n))
     return [EquivClass(_proposition(model.frame, rep), tuple(masks))
             for rep, masks in _classes(model, entries)]
 
 
-def encoding_matrix(model: HybridModel) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+def encoding_matrix(model: HybridModel,
+                    classes: Sequence[EquivClass]) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Binary encoding of the surviving classes over the non-empty atoms.
 
-    The basis lists the digit tuples of the unconstrained atoms in canonical
-    order; each row is one equivalence class (the merged-empty class gives
-    the all-zero row), with a 1 where the basis atom belongs to the class
-    representative.
+    `classes` are the model's classes as `survivors(model)` returns them,
+    one row each in their order.  The basis lists the digit tuples of the
+    unconstrained atoms in canonical order; a row has a 1 where the basis
+    atom belongs to the class representative (the merged-empty class gives
+    the all-zero row).
     """
-    positions = [i for i in range(model.frame.atom_count) if not model.empty_mask >> i & 1]
+    positions = [i for i in range(model.frame.atom_count) if model.alive >> i & 1]
     basis = [_digit_tuple(_atom_bits(model.frame.n)[i]) for i in positions]
-    matrix = []
-    for cls in survivors(model):
-        mask = cls.representative.mask
-        matrix.append([1 if mask >> i & 1 else 0 for i in positions])
-    return basis, matrix
+    return basis, [[cls.representative.mask >> i & 1 for i in positions] for cls in classes]
+
+
+def compression_report(
+    model: HybridModel, masses: Mapping[int, float]
+) -> list[tuple[int, tuple[tuple[int, float], ...], float]]:
+    """Per-class provenance of masses keyed by atom bitset: (representative, members, total).
+
+    The representative is a mask; members are (mask, mass) pairs in the
+    order of the input mapping.  Classes come out in canonical order of
+    their surviving atom sets.
+    """
+    alive = model.alive
+    entries = ((mask & alive, (mask, v)) for mask, v in masses.items())
+    return [(rep, tuple(members), fsum(v for _, v in members))
+            for rep, members in _classes(model, entries)]
 
 
 def compress(model: HybridModel, m: MassAssignment) -> MassAssignment:
-    """Sum masses over model-equivalent propositions, keyed by representatives.
+    """Sum masses over model-equivalent propositions: the class totals of `compression_report`.
 
     Pure re-summation: the total is preserved and nothing is normalized.
     Mass landing on the merged-empty class is an input error here (hybrid
@@ -171,26 +189,11 @@ def compress(model: HybridModel, m: MassAssignment) -> MassAssignment:
     """
     if m.frame != model.frame:
         raise FrameMismatch("assignment is not on the model's frame")
-    alive = ~model.empty_mask
     sums: dict[int, float] = {}
-    entries = ((mask & alive, (mask, v)) for mask, v in m._masses.items())
-    for rep, members in _classes(model, entries):
+    for rep, members, total in compression_report(model, m._masses):
         if not rep:
             mask, value = members[0]
             prop = _proposition(model.frame, mask)
             raise MassOnEmptyClass(f"mass {value!r} on {prop}, which is empty under the model")
-        sums[rep] = fsum(v for _, v in members)
+        sums[rep] = total
     return MassAssignment._from_masks(model.frame, sums, smets_mode=m.smets_mode)
-
-
-def compression_report(
-    model: HybridModel, masses: Mapping[Proposition, float]
-) -> list[tuple[Proposition, tuple[tuple[Proposition, float], ...], float]]:
-    """Per-class provenance for printing: (representative, members, total).
-
-    Members keep the order of the input mapping; classes come out in
-    canonical order of their surviving atom sets.
-    """
-    entries = ((model.reduced_mask(p), (p, v)) for p, v in masses.items())
-    return [(_proposition(model.frame, rep), tuple(members), fsum(v for _, v in members))
-            for rep, members in _classes(model, entries)]

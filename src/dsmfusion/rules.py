@@ -132,8 +132,7 @@ class HybridBreakdown:
 def _hybrid_tables(frame: Frame, tables: Sequence[Mapping[int, float]], model: HybridModel,
                    s1: dict) -> tuple[dict, dict, dict]:
     """S1, S2 and S3 of focal tables keyed by atom bitset under one model, given their S1."""
-    n, w, full = frame.n, frame.atom_count, frame.full_mask
-    alive = full & ~model.empty_mask
+    n, w, full, alive = frame.n, frame.atom_count, frame.full_mask, model.alive
     if all(mask & alive for mask in s1):
         return s1, {}, {}
     keep = full << w
@@ -153,7 +152,7 @@ def _hybrid_tables(frame: Frame, tables: Sequence[Mapping[int, float]], model: H
 def _gate(model: HybridModel, tables: tuple[dict, dict, dict]) -> dict[int, float]:
     """The hybrid result: the sum of S1, S2 and S3 on every key not empty under the model."""
     s1, s2, s3 = tables
-    alive = model.frame.full_mask & ~model.empty_mask
+    alive = model.alive
     return {mask: fsum((s1.get(mask, 0.0), s2.get(mask, 0.0), s3.get(mask, 0.0)))
             for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}
 

@@ -22,7 +22,7 @@ from .bba import MassAssignment
 from .dynamic import run_session, stages_from
 from .errors import FullContradiction
 from .exprparse import _parse_or_empty, parse
-from .lattice import Frame, build_frame, to_expression
+from .lattice import Frame, build_frame
 from .model import build_model, compress, shafer_model, survivors
 from .render import breakdown_lines, column_totals, compressed_lines, mass_lines
 from .rules import dempster, dsm_classic, dsm_hybrid
@@ -439,7 +439,7 @@ def _run_constraint_example(example_id: str, key: str, suite: dict) -> ExampleRe
         for expr, v in suite["classic"][key].items():
             report.close(classic[props[expr]], v)
 
-    elements = list(props.values())
+    elements = [p.mask for p in props.values()]
     report.lines.append(f"== {example_id}: constraint {' , '.join(MODEL_CONSTRAINTS[key])} ==")
     report.lines += breakdown_lines(bd, elements)
     report.lines.append(column_totals(bd, elements))
@@ -456,7 +456,7 @@ def _run_constraint_example(example_id: str, key: str, suite: dict) -> ExampleRe
         report.close(bd.result[props[expr]], v)
 
     report.lines.append(f"== {example_id}: compressed ==")
-    report.lines += compressed_lines(model, {p: bd.result[p] for p in elements})
+    report.lines += compressed_lines(model, {mask: bd.result._masses.get(mask, 0.0) for mask in elements})
     report.exact(len(survivors(model)) == CLASS_COUNTS[key])
     compressed = compress(model, bd.result)
     for expr, v in suite["compressed"][key].items():
@@ -476,10 +476,10 @@ def _run_dynamic_example(key: str) -> ExampleReport:
         report.lines += mass_lines(rec.result)
         if rec.label not in data["expected"]:
             continue
-        got, want = rec.by_expression(), {}
+        got, want = rec.result._masses, {}
         for expr, v in data["expected"][rec.label].items():
-            canon = to_expression(parse(rec.result.frame, expr))
-            want[canon] = want.get(canon, 0.0) + v
+            mask = parse(rec.result.frame, expr).mask
+            want[mask] = want.get(mask, 0.0) + v
         for k in set(got) | set(want):
             report.close(got.get(k, 0.0), want.get(k, 0.0))
     return report

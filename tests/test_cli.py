@@ -15,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dsmfusion import (ENUMERATION_LIMIT, LOAD_LIMIT, RULE_NAMES, MassAssignment, build_frame,
-                       build_model, dempster, dsm_hybrid, parse, shafer_model)
+                       build_model, compress, dempster, dsm_hybrid, parse, shafer_model, survivors,
+                       to_expression)
 from dsmfusion import cli, dynamic
+from dsmfusion import model as dsm_model
 from dsmfusion.cli import SWEEP_LIMIT, main, sweep_rows
 from dsmfusion.errors import FullContradiction, ScenarioError
 
@@ -139,6 +141,15 @@ class TestHpset:
         assert "basis: <1> <2> <3>" in out
         assert "0 0 0" in out and "1 1 1" in out
 
+    def test_matrix_reads_the_listed_classes(self, capsys):
+        # the matrix rows are the classes hpset lists: the lattice is grouped once
+        spy = mock.Mock(wraps=survivors)
+        with mock.patch.object(cli, "survivors", spy), mock.patch.object(dsm_model, "survivors", spy):
+            assert main(["hpset", "--frame", "t1,t2,t3,t4", "--matrix"]) == 0
+        assert spy.call_count == 1
+        out = capsys.readouterr().out
+        assert "total classes: 167" in out and "basis: " in out
+
     def test_constraints_file(self, capsys, tmp_path):
         path = tmp_path / "cons.txt"
         path.write_text("t1&t2\n\nt1&t3\n", encoding="utf-8")
@@ -260,6 +271,13 @@ class TestCombine:
         pytest.param(dict(SCENARIO_AB, constraints=["a&b"], mixture=[{"probability": "1"}]),
                      id="mixture-top-level-constraints"),
         pytest.param(past_fold_limit(), id="past-fold-limit"),
+        pytest.param([SCENARIO_AB], id="scenario-array"),
+        pytest.param(with_first_masses((5, "1")), id="prop-not-string"),
+        pytest.param(dict(SCENARIO_AB, mixture=[{"constraints": ["a&b"]}]), id="mixture-no-probability"),
+        pytest.param(dict(SCENARIO_AB, mixture=[{"probability": "-0.5"},
+                                                {"constraints": ["a&b"], "probability": "1.5"}]),
+                     id="negative-probability"),
+        pytest.param(dict(SCENARIO_AB, events=[5]), id="event-not-object"),
     ])
     def test_malformed_scenarios_exit_2(self, scenario_file, doc):
         path = scenario_file(doc)
@@ -283,6 +301,11 @@ class TestCombine:
         err = capsys.readouterr().err
         past = (rows + entries) * (2**18 - 1) > LOAD_LIMIT
         assert ("LOAD_LIMIT" in err) == past and ("parsed" in err) != past
+
+    def test_unreadable_scenario_path_exit_2(self, tmp_path, capsys):
+        assert main(["combine", "--scenario", str(tmp_path / "none.json"), "--rule", "dsmh"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read scenario" in captured.err
 
     def test_unreadable_files_exit_2(self, tmp_path):
         latin1 = tmp_path / "latin1.json"
@@ -454,6 +477,64 @@ class TestCombine:
         assert main(["combine", "--scenario", path, "--rule", "dsmc", "--out", "csv"]) == 0
         late = capsys.readouterr().out.split("# stage late")[1].splitlines()
         assert "EMPTY,0.200000" in late and "t1,0.800000" in late
+
+    def test_smets_mode_event_source_puts_mass_on_empty(self, scenario_file, capsys):
+        # an added source is read under the scenario's smets_mode, as the first sources are
+        doc = {
+            "frame": ["t1", "t2"],
+            "smets_mode": True,
+            "sources": [
+                {"name": "a", "masses": [{"prop": "t1", "mass": "1.0"}]},
+                {"name": "b", "masses": [{"prop": "t1|t2", "mass": "1.0"}]},
+            ],
+            "events": [{"at": "late", "add_source": {
+                "name": "c", "masses": [{"prop": "EMPTY", "mass": "0.5"}, {"prop": "t1", "mass": "0.5"}]}}],
+        }
+        path = scenario_file(doc)
+        assert main(["combine", "--scenario", path, "--rule", "dsmc", "--out", "csv"]) == 0
+        late = capsys.readouterr().out.split("# stage late")[1].splitlines()
+        assert "EMPTY,0.500000" in late and "t1,0.500000" in late
+
+    def test_touched_rows_and_classes_past_the_enumeration_limit(self, scenario_file, capsys):
+        # on six singletons a breakdown lists only the keys the combination touched
+        doc = {
+            "frame": [f"t{i}" for i in range(1, 7)],
+            "sources": [
+                {"name": "a", "masses": [{"prop": "t1", "mass": "0.3"}, {"prop": "t2|t6", "mass": "0.3"},
+                                         {"prop": "t4&t5", "mass": "0.4"}]},
+                {"name": "b", "masses": [{"prop": "t2", "mass": "0.5"}, {"prop": "t1|t5", "mass": "0.2"},
+                                         {"prop": "(t3&t4)|t6", "mass": "0.3"}]},
+            ],
+            "constraints": ["t1&t2", "t4&t5"],
+        }
+        assert len(doc["frame"]) > ENUMERATION_LIMIT
+        path = scenario_file(doc)
+        frame = build_frame(doc["frame"])
+        sources = [MassAssignment(frame, [(parse(frame, r["prop"]), float(r["mass"])) for r in s["masses"]])
+                   for s in doc["sources"]]
+        model = build_model(frame, [parse(frame, c) for c in doc["constraints"]])
+        bd = dsm_hybrid(sources, model)
+        touched = sorted(set(bd.s1) | set(bd.s2) | set(bd.s3) | set(bd.result.keys()),
+                         key=lambda p: p.sort_key)
+        assert set(bd.s3) - set(bd.s1)  # S3 books on joins that S1 never touched
+        totals = {to_expression(p): f"{v:.6f}" for p, v in compress(model, bd.result).items()}
+
+        assert main(["combine", "--scenario", path, "--rule", "dsmh", "--breakdown", "--compress"]) == 0
+        table, classes = capsys.readouterr().out.split("-- compressed --\n")
+        rows = [row.split() for row in table.splitlines()[1:]]
+        assert [row[0] for row in rows] == [to_expression(p) for p in touched]
+        for row, p in zip(rows, touched):
+            cells = (bd.s1.get(p, 0.0), bd.s2.get(p, 0.0), bd.s3.get(p, 0.0), bd.result[p])
+            assert row[1:] == [str(model.phi(p)), *(f"{v:.6f}" for v in cells)]
+        # a merged class prints its members' masses joined by "+" and "=" before its total
+        assert {row.split()[0]: row.split()[-1].split("=")[-1] for row in classes.splitlines()} == totals
+        assert "=" in classes
+
+        assert main(["combine", "--scenario", path, "--rule", "dsmh", "--out", "csv", "--compress"]) == 0
+        _, csv_classes = capsys.readouterr().out.split("\n\n")
+        header, *csv_rows = csv_classes.splitlines()
+        assert header == "prop,mass,provenance"
+        assert {name: total for name, total, _ in (row.split(",") for row in csv_rows)} == totals
 
     def test_empty_mass_without_smets_mode_exit_2(self, scenario_file):
         doc = {

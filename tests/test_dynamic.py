@@ -65,6 +65,11 @@ class TestEmbed:
         assert to_expression(q) == "a&b"
 
 
+def by_expression(rec) -> dict[str, float]:
+    """A session stage's result keyed by canonical expression."""
+    return {to_expression(p): v for p, v in rec.result.items()}
+
+
 def dyn12_sources(frame2):
     return [
         assignment(frame2, {"t1": 0.1, "t2": 0.2, "t1|t2": 0.3, "t1&t2": 0.4}),
@@ -79,10 +84,10 @@ class TestRunSession:
             Stage(at="t1", add_elements=("t3",), add_source=m3),
             Stage(at="t2", set_constraints=("t3",)),
         ]))
-        got = history[1].by_expression()
+        got = by_expression(history[1])
         assert got["t1&t2&t3"] == pytest.approx(0.464, abs=5e-5)
         assert got[to_expression(parse(frame3, "(t1|t2)&t3"))] == pytest.approx(0.012, abs=5e-5)
-        final = history[-1].by_expression()
+        final = by_expression(history[-1])
         assert final["t1"] == pytest.approx(0.147, abs=5e-5)
         assert final["t2"] == pytest.approx(0.179, abs=5e-5)
         assert final["t1|t2"] == pytest.approx(0.021, abs=5e-5)
@@ -93,7 +98,7 @@ class TestRunSession:
         m2 = assignment(frame4, {"t1": 0.3, "t2": 0.2, "t1&t3": 0.1, "t4": 0.4})
         *_, last = run_session(frame4, [m1, m2],
                                [Stage(at="t1", set_constraints=("t1&t2", "t1&t3"))])
-        got = last.by_expression()
+        got = by_expression(last)
         expected = {"t1": 0.23, "t2": 0.14, "t4": 0.04, "t1&t4": 0.20,
                     "t2&t4": 0.16, "t1|t2": 0.22, "t1|t2|t3": 0.01}
         assert set(got) == set(expected)
@@ -165,8 +170,8 @@ def restore_check(frame, sources, stages, constraints) -> RestoreReport:
     """
     *earlier, new = run_session(frame, sources,
                                 [*stages, Stage(at="restore", set_constraints=tuple(constraints))])
-    final = new.by_expression()
-    deviations = tuple((rec.label, _max_deviation(final, rec.by_expression())) for rec in earlier)
+    final = by_expression(new)
+    deviations = tuple((rec.label, _max_deviation(final, by_expression(rec))) for rec in earlier)
     return RestoreReport(deviations, tuple(lbl for lbl, dev in deviations if dev <= 1e-9), final)
 
 

@@ -176,7 +176,8 @@ class TestSurvivors:
 
 class TestEncodingMatrix:
     def test_shafer_n3(self, frame3):
-        basis, matrix = encoding_matrix(model_for(frame3, "((t1&t2)|t3)&(t1|t2)"))
+        model = model_for(frame3, "((t1&t2)|t3)&(t1|t2)")
+        basis, matrix = encoding_matrix(model, survivors(model))
         assert basis == [(1,), (2,), (3,)]
         assert len(matrix) == 8
         assert sorted(tuple(r) for r in matrix) == sorted(
@@ -186,22 +187,25 @@ class TestEncodingMatrix:
         assert matrix[0] == [0, 0, 0]
 
     def test_m6(self, frame3):
-        basis, matrix = encoding_matrix(model_for(frame3, "t1", "t2"))
+        model = model_for(frame3, "t1", "t2")
+        basis, matrix = encoding_matrix(model, survivors(model))
         assert basis == [(3,)]
         assert matrix == [[0], [1]]
 
     def test_m7(self, frame3):
-        basis, matrix = encoding_matrix(model_for(frame3, "(t1&t2)|t3"))
+        model = model_for(frame3, "(t1&t2)|t3")
+        basis, matrix = encoding_matrix(model, survivors(model))
         assert basis == [(1,), (2,)]
         assert sorted(tuple(r) for r in matrix) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_m1_shape(self, frame3):
-        basis, matrix = encoding_matrix(model_for(frame3, "t1&t2&t3"))
+        model = model_for(frame3, "t1&t2&t3")
+        basis, matrix = encoding_matrix(model, survivors(model))
         assert basis == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
         assert len(matrix) == 18
         assert len(set(map(tuple, matrix))) == 18
         # row for t1 under the canonical basis: atoms 1, 12, 13 survive
-        t1_row_index = [i for i, cls in enumerate(survivors(model_for(frame3, "t1&t2&t3")))
+        t1_row_index = [i for i, cls in enumerate(survivors(model))
                         if cls.representative == parse(frame3, "t1")]
         assert matrix[t1_row_index[0]] == [1, 0, 0, 1, 1, 0]
 
