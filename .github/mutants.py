@@ -79,6 +79,10 @@ MUTANTS = (
            "model = HybridModel(frame, embed_mask(model.empty_mask))",
            "model = HybridModel(frame, model.empty_mask)",
            ("test_dynamic.py",)),
+    Mutant("a session folds t0 only when it is read", "dynamic.py",
+           "return chain(iter([next(session)]), session)",
+           "return session",
+           ("test_dynamic.py",)),
     Mutant("compress groups on the unmasked key", "model.py",
            "entries = ((mask & alive, (mask, v)) for mask, v in masses.items())",
            "entries = ((mask, (mask, v)) for mask, v in masses.items())",
@@ -138,6 +142,14 @@ MUTANTS = (
     Mutant("hpset --matrix groups the lattice a second time", "cli.py",
            "encoding_matrix(model, classes)",
            "encoding_matrix(model, survivors(model))",
+           ("test_cli.py",)),
+    Mutant("main drops a command's last line", "cli.py",
+           'sys.stdout.write("".join(f"{line}\\n" for line in lines))',
+           'sys.stdout.write("".join(f"{line}\\n" for line in lines[:-1]))',
+           ("test_cli.py",)),
+    Mutant("sweep --out also writes its lines to stdout", "cli.py",
+           "    return 0, []",
+           "    return 0, lines",
            ("test_cli.py",)),
 )
 

@@ -13,7 +13,8 @@ from .errors import (
     NotAnElement,
     NotPowerSetSupport,
 )
-from .lattice import Frame, Proposition, _proposition, _singletons_in, leq, total_ignorance
+from .lattice import (Frame, Proposition, _canonical_key, _proposition, _singletons_in, leq,
+                      total_ignorance)
 
 #: Absolute tolerance on the unit-sum check at validation time.  Internal
 #: sums are never renormalized.
@@ -62,9 +63,10 @@ class MassAssignment:
         return m
 
     def _seal(self, frame: Frame, masses: Mapping[int, float], smets_mode: bool) -> None:
-        ordered = sorted(masses.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        masks = sorted(masses, key=_canonical_key)
+        values = map(masses.__getitem__, masks)  # one lookup per mask: a wide mask hashes slowly
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_masses", {mask: v for mask, v in ordered if v != 0.0})
+        object.__setattr__(self, "_masses", {mask: v for mask, v in zip(masks, values) if v != 0.0})
         object.__setattr__(self, "smets_mode", bool(smets_mode))
         self.validate()
 

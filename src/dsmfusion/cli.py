@@ -9,8 +9,10 @@ Commands:
   sweep      emit the near-contradiction epsilon sweep as CSV
   reproduce  recompute a built-in worked example and verify it
 
-Exit codes: 0 success, 1 reproduction mismatch, 2 input or validation
-error, 3 rule undefined (full contradiction).
+Each command returns its exit code and its output lines, which `main`
+writes to stdout in one piece, so a command that fails writes nothing
+there.  Exit codes: 0 success, 1 reproduction mismatch, 2 input or
+validation error, 3 rule undefined (full contradiction).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .bba import MassAssignment
 from .dynamic import _list, _string_list, run_session, stages_from
 from .errors import DsmError, FullContradiction, ScenarioError
 from .exprparse import _parse_or_empty, parse
-from .lattice import (ENUMERATION_LIMIT, FRAME_LIMIT, LOAD_LIMIT, Frame, _check_enumerable,
-                      _up_closed_masks, build_frame)
+from .lattice import (ENUMERATION_LIMIT, FRAME_LIMIT, LOAD_LIMIT, Frame, _canonical_key,
+                      _check_enumerable, _up_closed_masks, build_frame)
 from .model import build_model, encoding_matrix, shafer_model, survivors
 from .render import breakdown_lines, class_lines, compressed_lines, mass_lines
 from .rules import (
@@ -46,10 +48,6 @@ from .rules import (
 from .worked_examples import EXAMPLE_IDS, run_example
 
 SWEEP_LIMIT = 10_001  # sweep rows: epsilon in steps of 1e-4
-
-
-def _print(line: str = "") -> None:
-    sys.stdout.write(line + "\n")
 
 
 def _parse_mass(text) -> float:
@@ -130,10 +128,10 @@ def _breakdown_rows(bd) -> Sequence[int]:
     if n <= ENUMERATION_LIMIT:
         return _up_closed_masks(n)
     s1, s2, s3 = bd._tables
-    return sorted(s1.keys() | s2.keys() | s3.keys(), key=lambda mask: (mask.bit_count(), mask))
+    return sorted(s1.keys() | s2.keys() | s3.keys(), key=_canonical_key)
 
 
-def cmd_hpset(args) -> int:
+def cmd_hpset(args) -> tuple[int, list[str]]:
     frame = build_frame([s for s in args.frame.split(",") if s])
     _check_enumerable(frame)  # before any constraint is read
 
@@ -152,18 +150,15 @@ def cmd_hpset(args) -> int:
 
     model = build_model(frame, constraints())
     classes = survivors(model)
-    for line in class_lines(classes):
-        _print(line)
-    _print(f"total classes: {len(classes)}")
+    lines = [*class_lines(classes), f"total classes: {len(classes)}"]
     if args.matrix:
         basis, matrix = encoding_matrix(model, classes)
-        _print("basis: " + " ".join(f"<{''.join(map(str, digits))}>" for digits in basis))
-        for row in matrix:
-            _print(" ".join(str(x) for x in row))
-    return 0
+        lines.append("basis: " + " ".join(f"<{''.join(map(str, digits))}>" for digits in basis))
+        lines += (" ".join(str(x) for x in row) for row in matrix)
+    return 0, lines
 
 
-def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
+def _combine_static(doc: dict, frame: Frame, sources, model, args) -> tuple[int, list[str]]:
     csv = args.out == "csv"
     rule = args.rule
     if rule in ("dempster", "yager", "smets", "dubois-prade") and model.empty_mask & ((1 << frame.n) - 1):
@@ -207,12 +202,10 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> int:
     if args.compress:
         lines.append("" if csv else "-- compressed --")
         lines += compressed_lines(model, result._masses, csv)
-    for line in lines:
-        _print(line)
-    return 0
+    return 0, lines
 
 
-def cmd_combine(args) -> int:
+def cmd_combine(args) -> tuple[int, list[str]]:
     doc = _load_scenario(args.scenario)
     if not isinstance(doc["frame"], list):
         raise ScenarioError("'frame' must be a list of singleton names")
@@ -246,9 +239,7 @@ def cmd_combine(args) -> int:
         lines += mass_lines(rec.result, csv)
         if args.breakdown:
             lines += breakdown_lines(rec.breakdown, _breakdown_rows(rec.breakdown), csv)
-    for line in lines:
-        _print(line)
-    return 0
+    return 0, lines
 
 
 def sweep_rows(steps: int) -> list[tuple[float, float | None, float | None, float, float, float]]:
@@ -296,7 +287,7 @@ def sweep_rows(steps: int) -> list[tuple[float, float | None, float | None, floa
     return rows
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, list[str]]:
     rows = sweep_rows(args.epsilon_steps)
 
     def cell(v) -> str:
@@ -306,24 +297,19 @@ def cmd_sweep(args) -> int:
     for eps, d1, d2, h1, h2, h12 in rows:
         lines.append(",".join([format(eps, ".12g"), cell(d1), cell(d2),
                                cell(h1), cell(h2), cell(h12)]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ScenarioError(f"cannot write {args.out!r}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-    return 0
+    if not args.out:
+        return 0, lines
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("".join(f"{line}\n" for line in lines))
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {args.out!r}: {exc}") from exc
+    return 0, []
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[int, list[str]]:
     report = run_example(args.example)
-    for line in report.lines:
-        _print(line)
-    _print(report.verdict)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), [*report.lines, report.verdict]
 
 
 @cache
@@ -364,13 +350,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, lines = args.fn(args)
     except FullContradiction as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except DsmError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return code
 
 
 if __name__ == "__main__":

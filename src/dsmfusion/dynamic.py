@@ -10,9 +10,10 @@ growth embeds each distinct mask of the tables, of S1 and of the model's
 empty atoms once; embedding commutes with meet, join and u(), so the folds
 and the model are unchanged.
 
-A session keeps no results: `run_session` yields each stage's compressed
-result when the caller asks for it (so the CLI refuses `--compress` on
-events), and the caller keeps what it reads.
+A session is one loop over its stages, the initial block "t0" first, and
+keeps no earlier results: it makes each stage's compressed result when the
+caller asks for it (so the CLI refuses `--compress` on events), and the
+caller keeps what it reads.
 """
 
 from __future__ import annotations
@@ -113,20 +114,9 @@ class SessionResult:
     breakdown: HybridBreakdown | None  # None under 'dsmc'
 
 
-def _result(label: str, rule: str, frame: Frame, tables: list, s1: dict, model: HybridModel,
-            smets_mode: bool) -> SessionResult:
-    """The (compressed) result of the tables under the model."""
-    if rule == "dsmc":
-        if not model.is_free:
-            raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
-        return SessionResult(label, MassAssignment._from_masks(frame, s1, smets_mode=smets_mode), None)
-    breakdown = _hybrid_breakdown(frame, tables, model, s1)
-    return SessionResult(label, compress(model, breakdown.result), breakdown)
-
-
-def _later(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1: dict,
-           model: HybridModel, smets_mode: bool) -> Iterator[SessionResult]:
-    """Apply each stage to the session state when its result is read."""
+def _session(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1: dict,
+             model: HybridModel, smets_mode: bool) -> Iterator[SessionResult]:
+    """Apply each stage to the session state, and make its (compressed) result, when it is read."""
     for stage in stages:
         if stage.add_elements:
             old, frame = frame, build_frame(frame.names + tuple(stage.add_elements))
@@ -141,17 +131,23 @@ def _later(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1: d
             smets_mode = smets_mode or src.smets_mode
         if stage.set_constraints is not None:
             model = build_model(frame, (parse(frame, c) for c in stage.set_constraints))
-        yield _result(stage.at, rule, frame, tables, s1, model, smets_mode)
+        if rule == "dsmh":
+            breakdown = _hybrid_breakdown(tables, model, s1)
+            yield SessionResult(stage.at, compress(model, breakdown.result), breakdown)
+        elif model.is_free:
+            yield SessionResult(stage.at, MassAssignment._from_masks(frame, s1, smets_mode), None)
+        else:
+            raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
 
 
 def run_session(frame: Frame, sources: list[MassAssignment], stages: Iterable[Stage],
                 rule: str = "dsmh", constraints: tuple[str, ...] = ()) -> Iterator[SessionResult]:
-    """The results of the initial block (labelled "t0") and of each stage, in order.
+    """The results of the initial block (stage "t0") and of each stage, in order.
 
-    `rule` is 'dsmh' or 'dsmc'.  "t0" is folded at call time, so a bad
-    start raises here; each later stage is taken from `stages`, which may
-    be any iterable (a live feed included), and applied only when the
-    caller asks for its result.
+    `rule` is 'dsmh' or 'dsmc'.  "t0" is the session's first stage, folded
+    at call time, so a bad start raises here; each later stage is taken
+    from `stages`, which may be any iterable (a live feed included), and
+    applied only when the caller asks for its result.
     """
     if rule not in ("dsmh", "dsmc"):
         raise RuleNotApplicable(f"rule {rule!r} cannot drive a session")
@@ -163,6 +159,6 @@ def run_session(frame: Frame, sources: list[MassAssignment], stages: Iterable[St
     tables = [m._masses for m in embedded]
     s1 = _classic_fold(tables, frame.full_mask)
     smets_mode = any(m.smets_mode for m in sources)
-    t0 = _result("t0", rule, frame, tables, s1, model, smets_mode)
+    session = _session(chain([Stage("t0")], stages), rule, frame, tables, s1, model, smets_mode)
     # an exhausted list iterator lets go of its list, and with it of t0's result
-    return chain(iter([t0]), _later(stages, rule, frame, tables, s1, model, smets_mode))
+    return chain(iter([next(session)]), session)

@@ -179,6 +179,11 @@ def _singletons_in(n: int, mask: int) -> int:
     return _singletons_union(n, mask & ((1 << n) - 1))
 
 
+def _canonical_key(mask: int) -> tuple[int, int]:
+    """The canonical element order of atom bitsets: atom count, then bitset value."""
+    return (mask.bit_count(), mask)
+
+
 @dataclass(frozen=True)
 class Frame:
     """An ordered frame of uniquely named singletons."""
@@ -261,7 +266,7 @@ class Proposition:
 
     @property
     def sort_key(self) -> tuple[int, int]:
-        return (self.mask.bit_count(), self.mask)
+        return _canonical_key(self.mask)
 
     @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -388,7 +393,7 @@ def _up_closed_masks(n: int) -> tuple[int, ...]:
     for i in reversed(range(len(bits))):
         need = _up_mask(n, bits[i]) & ~(1 << i)
         masks += [m | 1 << i for m in masks if m & need == need]
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+    return tuple(sorted(masks, key=_canonical_key))
 
 
 def to_expression(p: Proposition) -> str:

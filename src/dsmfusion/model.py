@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .bba import MassAssignment
 from .errors import FrameMismatch, MassOnEmptyClass, VacuousModel
-from .lattice import (Frame, Proposition, _atom_bits, _check_enumerable, _digit_tuple, _proposition,
-                      _up_closed_masks, _up_closure)
+from .lattice import (Frame, Proposition, _atom_bits, _canonical_key, _check_enumerable, _digit_tuple,
+                      _proposition, _up_closed_masks, _up_closure)
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def _classes(model: HybridModel, entries: Iterable[tuple[int, object]]) -> list[
         groups.setdefault(reduced, []).append(item)
     n = model.frame.n
     return [(_up_closure(n, reduced), groups[reduced])
-            for reduced in sorted(groups, key=lambda m: (m.bit_count(), m))]
+            for reduced in sorted(groups, key=_canonical_key)]
 
 
 def survivors(model: HybridModel) -> list[EquivClass]:

@@ -129,9 +129,10 @@ class HybridBreakdown:
     s3 = cached_property(lambda self: self._table(2))
 
 
-def _hybrid_tables(frame: Frame, tables: Sequence[Mapping[int, float]], model: HybridModel,
+def _hybrid_tables(tables: Sequence[Mapping[int, float]], model: HybridModel,
                    s1: dict) -> tuple[dict, dict, dict]:
-    """S1, S2 and S3 of focal tables keyed by atom bitset under one model, given their S1."""
+    """S1, S2 and S3 of focal tables keyed by atom bitset of the model's frame, given their S1."""
+    frame = model.frame
     n, w, full, alive = frame.n, frame.atom_count, frame.full_mask, model.alive
     if all(mask & alive for mask in s1):
         return s1, {}, {}
@@ -157,11 +158,11 @@ def _gate(model: HybridModel, tables: tuple[dict, dict, dict]) -> dict[int, floa
             for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}
 
 
-def _hybrid_breakdown(frame: Frame, tables: Sequence[Mapping[int, float]], model: HybridModel,
+def _hybrid_breakdown(tables: Sequence[Mapping[int, float]], model: HybridModel,
                       s1: dict) -> HybridBreakdown:
-    """The hybrid rule on focal tables keyed by atom bitset, under one model, given their S1."""
-    parts = _hybrid_tables(frame, tables, model, s1)
-    return HybridBreakdown(model, MassAssignment._from_masks(frame, _gate(model, parts)), parts)
+    """The hybrid rule on focal tables keyed by atom bitset of the model's frame, given their S1."""
+    parts = _hybrid_tables(tables, model, s1)
+    return HybridBreakdown(model, MassAssignment._from_masks(model.frame, _gate(model, parts)), parts)
 
 
 def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakdown:
@@ -174,7 +175,7 @@ def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakd
     if model.frame != frame:
         raise FrameMismatch("model frame differs from the sources' frame")
     tables = [m._masses for m in ms]
-    return _hybrid_breakdown(frame, tables, model, _classic_fold(tables, frame.full_mask))
+    return _hybrid_breakdown(tables, model, _classic_fold(tables, frame.full_mask))
 
 
 def _power_set_frame(ms: Sequence[MassAssignment]) -> Frame:
@@ -310,6 +311,6 @@ def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAss
     s1 = _classic_fold(tables, frame.full_mask)
     sums: dict[int, list[float]] = {}
     for model, prob in spec.entries:
-        for mask, value in _gate(model, _hybrid_tables(frame, tables, model, s1)).items():
+        for mask, value in _gate(model, _hybrid_tables(tables, model, s1)).items():
             sums.setdefault(mask, []).append(prob * value)
     return MassAssignment._from_masks(frame, _fsums(sums))

@@ -389,6 +389,23 @@ class TestCombine:
         assert main(["combine", "--scenario", path, "--rule", "dsmh", "--breakdown"]) == 0
         assert capsys.readouterr().out.count("phi") == 2
 
+    @pytest.mark.parametrize("rule, constraints, message", [
+        ("dsmh", ["t1|t2"], "constraints empty the whole frame"),
+        ("dsmc", ["t1|t2"], "constraints empty the whole frame"),
+        ("dsmc", ["t1&t2"], "rule 'dsmc' ignores constraints"),
+    ])
+    def test_a_stage_failing_after_t0_leaves_stdout_empty(self, scenario_file, capsys, rule,
+                                                           constraints, message):
+        # t0 and the first event fold before the second event fails
+        path = scenario_file({
+            "frame": ["t1", "t2"],
+            "sources": [{"name": "a", "masses": [{"prop": "t1", "mass": "1"}]},
+                        {"name": "b", "masses": [{"prop": "t2", "mass": "1"}]}],
+            "events": [{"at": "first"}, {"at": "second", "set_constraints": constraints}]})
+        assert main(["combine", "--scenario", path, "--rule", rule]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
     def test_events_build_their_model_once(self, scenario_file):
         # a trivial top-level model: parsed and warned about by the session alone
         path = scenario_file({
@@ -461,7 +478,7 @@ class TestCombine:
         assert any(ln.startswith("EMPTY") and "0.100000" in ln for ln in out.splitlines())
 
     def test_smets_mode_session_keeps_empty_mass(self, scenario_file, capsys):
-        # the late source is closed-world, but the sealed past keeps its mass on EMPTY
+        # the late source, read under smets_mode too, holds no EMPTY mass; the sealed past keeps its own
         doc = {
             "frame": ["t1", "t2"],
             "smets_mode": True,
@@ -627,9 +644,14 @@ class TestSweep:
         assert captured.out == "" and str(SWEEP_LIMIT) in captured.err
 
     def test_out_file(self, tmp_path, capsys):
+        # the file holds what stdout would, and stdout holds nothing
+        assert main(["sweep", "--epsilon-steps", "11"]) == 0
+        expected = capsys.readouterr().out
         target = tmp_path / "sweep.csv"
-        assert main(["sweep", "--epsilon-steps", "3", "--out", str(target)]) == 0
-        assert target.read_text().startswith("epsilon,")
+        assert main(["sweep", "--epsilon-steps", "11", "--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert expected.startswith("epsilon,")
+        assert target.read_bytes() == expected.encode("utf-8")
 
 
 class TestReproduce:
@@ -774,16 +796,18 @@ def test_scenario_fuzz(tmp_path_factory, doc, corrupt):
     lines = constraints if isinstance(constraints, list) else [constraints]
     cons = tmp / "constraints.txt"
     cons.write_bytes(prefix + "\n".join(map(str, lines)).encode("utf-8"))
-    # capsys is per test, not per example, so the printed lines are read from _print
+    # capsys is per test, not per example, so each command's stdout is redirected here
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for rule in RULE_NAMES:
+            out = io.StringIO()
             with mock.patch.object(cli, "mass_lines", wraps=cli.mass_lines) as spy, \
-                    mock.patch.object(cli, "_print") as printed:
+                    contextlib.redirect_stdout(out):
                 code = main(["combine", "--scenario", str(scenario), "--rule", rule, "--out", "csv"])
             assert code in (0, 2, 3), rule
             if code == 0:
-                out = "\n".join(c.args[0] if c.args else "" for c in printed.call_args_list)
-                check_results(rule, doc, out, [c.args[0] for c in spy.call_args_list])
-        with mock.patch.object(cli, "_print"):
+                check_results(rule, doc, out.getvalue(), [c.args[0] for c in spy.call_args_list])
+            else:
+                assert out.getvalue() == "", rule
+        with contextlib.redirect_stdout(io.StringIO()):
             assert main(["hpset", "--frame", ",".join(FUZZ_FRAME), "--constraints", f"@{cons}"]) in (0, 2)

@@ -308,7 +308,7 @@ def test_constraint_only_stage_keeps_the_tables(frame2, frame3, monkeypatch):
     grow-only stage, under `dsmh` and `dsmc` alike.
     """
     folds = _spy(monkeypatch, "_classic_fold")
-    breakdowns = _spy(monkeypatch, "_hybrid_breakdown")  # (frame, tables, model, s1)
+    breakdowns = _spy(monkeypatch, "_hybrid_breakdown")  # (tables, model, s1)
     m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
     for rule, first, last in (("dsmh", ("t1&t2",), ("t3",)), ("dsmc", (), ())):
         stages = [Stage(at="t1", set_constraints=first), Stage(at="t2", add_elements=("t3",)),
@@ -319,7 +319,7 @@ def test_constraint_only_stage_keeps_the_tables(frame2, frame3, monkeypatch):
         assert len(folds) == 1
         history = [next(results), next(results)]
         if rule == "dsmh":  # dsmc reads S1 alone, so only dsmh hands the tables on
-            assert breakdowns[1][1] is breakdowns[0][1]
+            assert breakdowns[1][0] is breakdowns[0][0]
         for count in (1, 2, 2):
             history.append(next(results))
             assert len(folds) == count
