@@ -79,13 +79,18 @@ MUTANTS = (
            "model = HybridModel(frame, embed_mask(model.empty_mask))",
            "model = HybridModel(frame, model.empty_mask)",
            ("test_dynamic.py",)),
+    Mutant("a suspended session holds the last stage's breakdown", "dynamic.py",
+           "            yield _hybrid_result(stage.at, tables, model, s1)\n",
+           "            breakdown = _hybrid_breakdown(tables, model, s1)\n"
+           "            yield SessionResult(stage.at, compress(model, breakdown.result), breakdown)\n",
+           ("test_dynamic.py",)),
     Mutant("a session folds t0 only when it is read", "dynamic.py",
            "return chain(iter([next(session)]), session)",
            "return session",
            ("test_dynamic.py",)),
     Mutant("compress groups on the unmasked key", "model.py",
-           "entries = ((mask & alive, (mask, v)) for mask, v in masses.items())",
-           "entries = ((mask, (mask, v)) for mask, v in masses.items())",
+           "_classes(model.alive, masses, masses.items())",
+           "_classes(model.frame.full_mask, masses, masses.items())",
            ("test_model.py", "test_rules.py")),
     Mutant("validate lets negatives down to -1e-3 through", "bba.py",
            "if value < 0:",
@@ -124,9 +129,21 @@ MUTANTS = (
            "",
            ("test_cli.py",)),
     Mutant("survivors groups on the unmasked key", "model.py",
-           "entries = ((mask & alive, mask) for mask in _up_closed_masks(model.frame.n))",
-           "entries = ((mask, mask) for mask in _up_closed_masks(model.frame.n))",
+           "_classes(model.alive, masks, masks)",
+           "_classes(model.frame.full_mask, masks, masks)",
            ("test_model.py",)),
+    Mutant("survivors takes a class's last member as its representative", "model.py",
+           "EquivClass(_proposition(frame, members[0]), tuple(members))",
+           "EquivClass(_proposition(frame, members[-1]), tuple(members))",
+           ("test_model.py",)),
+    Mutant("to_expression prints the smallest generator first", "lattice.py",
+           "gens.sort(key=int.bit_count, reverse=True)",
+           "gens.sort(key=int.bit_count)",
+           ("test_lattice.py",)),
+    Mutant("to_expression parenthesizes a singleton term", "lattice.py",
+           'f"({terms[g]})" if g & (g - 1) else terms[g]',
+           'f"({terms[g]})"',
+           ("test_lattice.py",)),
     Mutant("the surviving atoms keep the bits past the frame", "model.py",
            "return self.frame.full_mask & ~self.empty_mask",
            "return ~self.empty_mask",

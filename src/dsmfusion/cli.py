@@ -290,13 +290,12 @@ def sweep_rows(steps: int) -> list[tuple[float, float | None, float | None, floa
 def cmd_sweep(args) -> tuple[int, list[str]]:
     rows = sweep_rows(args.epsilon_steps)
 
-    def cell(v) -> str:
-        return "NaN" if v is None else format(v, ".12g")
-
     lines = ["epsilon,dempster_t1,dempster_t2,dsmh_t1,dsmh_t2,dsmh_t1_or_t2"]
-    for eps, d1, d2, h1, h2, h12 in rows:
-        lines.append(",".join([format(eps, ".12g"), cell(d1), cell(d2),
-                               cell(h1), cell(h2), cell(h12)]))
+    for row in rows:
+        if row[1] is None:  # both Dempster columns undefined: the two endpoints
+            lines.append(",".join(["NaN" if v is None else format(v, ".12g") for v in row]))
+        else:
+            lines.append("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g" % row)
     if not args.out:
         return 0, lines
     try:

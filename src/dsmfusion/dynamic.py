@@ -114,6 +114,12 @@ class SessionResult:
     breakdown: HybridBreakdown | None  # None under 'dsmc'
 
 
+def _hybrid_result(label: str, tables: list, model: HybridModel, s1: dict) -> SessionResult:
+    """A 'dsmh' stage's result, built outside the session loop: no local there holds its breakdown."""
+    breakdown = _hybrid_breakdown(tables, model, s1)
+    return SessionResult(label, compress(model, breakdown.result), breakdown)
+
+
 def _session(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1: dict,
              model: HybridModel, smets_mode: bool) -> Iterator[SessionResult]:
     """Apply each stage to the session state, and make its (compressed) result, when it is read."""
@@ -132,8 +138,7 @@ def _session(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1:
         if stage.set_constraints is not None:
             model = build_model(frame, (parse(frame, c) for c in stage.set_constraints))
         if rule == "dsmh":
-            breakdown = _hybrid_breakdown(tables, model, s1)
-            yield SessionResult(stage.at, compress(model, breakdown.result), breakdown)
+            yield _hybrid_result(stage.at, tables, model, s1)
         elif model.is_free:
             yield SessionResult(stage.at, MassAssignment._from_masks(frame, s1, smets_mode), None)
         else:

@@ -24,11 +24,14 @@ down; the atoms above any position form an up-set, so each step keeps the
 up-closed sets of the atoms seen so far and adds the atom to those holding
 its proper supersets.
 
-Generator extraction (`_generator_positions`, behind `generators`, `u_of`,
-`to_expression`, and the same walk in `_up_closure`) takes one step per
-generator and is exact on any atom set: the lowest atom present is
-minimal, since its proper subsets all sit at lower positions, and clearing
-its up-closure leaves the remaining generators.
+Generator extraction (`_generator_positions`, behind `generators` and
+`u_of`, and the same walk in `_up_closure` and `to_expression`) takes one
+step per generator and is exact on any atom set: the lowest atom present
+is minimal, since its proper subsets all sit at lower positions, and
+clearing its up-closure leaves the remaining generators.  `to_expression`
+walks the digit bitsets itself, not `generators`' digit tuples, and names
+each from its frame's `_terms`: the "&"-joined names of the digit sets
+that frame has printed, at most 2^n - 1 strings, freed with the frame.
 
 The public `Proposition(frame, mask)` checks that the mask is an element:
 in range and up-closed.  Library code, which only ever builds elements,
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable
@@ -208,6 +211,11 @@ class Frame:
             return self.names.index(name) + 1
         except ValueError:
             raise IndexOutOfRange(f"{name!r} is not a singleton of this frame") from None
+
+    @cached_property
+    def _terms(self) -> dict[int, str]:
+        """The "&"-joined names of each digit bitset `to_expression` has printed on this frame."""
+        return {}
 
     def __repr__(self) -> str:
         return f"Frame({', '.join(self.names)})"
@@ -404,14 +412,21 @@ def to_expression(p: Proposition) -> str:
     multi-digit generator is parenthesized when it is not the only one.
     EMPTY prints as "EMPTY" (which the parser deliberately rejects).
     """
-    if p.is_empty:
+    mask = p.mask
+    if not mask:
         return "EMPTY"
-    gens = sorted(p.generators, key=len, reverse=True)
-    names = p.frame.names
-    parts = []
-    for g in gens:
-        term = "&".join(names[d - 1] for d in g)
-        if len(g) >= 2 and len(gens) > 1:
-            term = f"({term})"
-        parts.append(term)
-    return "|".join(parts)
+    frame = p.frame
+    names, terms = frame.names, frame._terms
+    n = len(names)
+    bits = _atom_bits(n)
+    gens = []
+    while mask:
+        digits = bits[(mask & -mask).bit_length() - 1]
+        if digits not in terms:
+            terms[digits] = "&".join([names[d] for d in range(digits.bit_length()) if digits >> d & 1])
+        gens.append(digits)
+        mask &= ~_up_mask(n, digits)
+    if len(gens) == 1:
+        return terms[gens[0]]
+    gens.sort(key=int.bit_count, reverse=True)
+    return "|".join([f"({terms[g]})" if g & (g - 1) else terms[g] for g in gens])

@@ -118,20 +118,22 @@ class EquivClass:
         return len(self.member_masks)
 
 
-def _classes(model: HybridModel, entries: Iterable[tuple[int, object]]) -> list[tuple[int, list]]:
-    """Group items, each given with its surviving atoms, into model-equivalence classes.
+def _classes(alive: int, keys: Iterable[int], items: Iterable) -> list[tuple[int, list]]:
+    """Group items, each given with its atom-bitset key, into model-equivalence classes.
 
-    Returns (representative mask, items) per class, classes ordered by their
-    surviving atom sets (count, then bitset value) and items in input order.
-    The representative is the up-closure of the surviving atoms, computed
-    once per class.
+    A key's surviving atoms are `key & alive`.  Returns (surviving atoms,
+    items) per class, classes ordered by their surviving atom sets (count,
+    then bitset value) and items in input order.
     """
     groups: dict[int, list] = {}
-    for reduced, item in entries:
-        groups.setdefault(reduced, []).append(item)
-    n = model.frame.n
-    return [(_up_closure(n, reduced), groups[reduced])
-            for reduced in sorted(groups, key=_canonical_key)]
+    get = groups.get
+    for reduced, item in zip(map(alive.__and__, keys), items):
+        group = get(reduced)
+        if group is None:
+            groups[reduced] = [item]
+        else:
+            group.append(item)
+    return [(reduced, groups[reduced]) for reduced in sorted(groups, key=_canonical_key)]
 
 
 def survivors(model: HybridModel) -> list[EquivClass]:
@@ -142,12 +144,15 @@ def survivors(model: HybridModel) -> list[EquivClass]:
     surviving atom sets (count, then bitset value); members come in
     canonical order.  The lattice is grouped as bitsets: each class builds
     one proposition, its representative, and its members when they are read.
+
+    The representative is a class's first member.  The up-closure of the
+    class's surviving atoms is a member, and a subset of every other member,
+    so it has the fewest atoms and comes first in canonical order.
     """
     _check_enumerable(model.frame)
-    alive = model.alive
-    entries = ((mask & alive, mask) for mask in _up_closed_masks(model.frame.n))
-    return [EquivClass(_proposition(model.frame, rep), tuple(masks))
-            for rep, masks in _classes(model, entries)]
+    frame, masks = model.frame, _up_closed_masks(model.frame.n)
+    return [EquivClass(_proposition(frame, members[0]), tuple(members))
+            for _, members in _classes(model.alive, masks, masks)]
 
 
 def encoding_matrix(model: HybridModel,
@@ -170,14 +175,14 @@ def compression_report(
 ) -> list[tuple[int, tuple[tuple[int, float], ...], float]]:
     """Per-class provenance of masses keyed by atom bitset: (representative, members, total).
 
-    The representative is a mask; members are (mask, mass) pairs in the
-    order of the input mapping.  Classes come out in canonical order of
-    their surviving atom sets.
+    The representative is a mask, the up-closure of the class's surviving
+    atoms, which need not be among the members; members are (mask, mass)
+    pairs in the order of the input mapping.  Classes come out in canonical
+    order of their surviving atom sets.
     """
-    alive = model.alive
-    entries = ((mask & alive, (mask, v)) for mask, v in masses.items())
-    return [(rep, tuple(members), fsum(v for _, v in members))
-            for rep, members in _classes(model, entries)]
+    n = model.frame.n
+    return [(_up_closure(n, reduced), tuple(members), fsum(v for _, v in members))
+            for reduced, members in _classes(model.alive, masses, masses.items())]
 
 
 def compress(model: HybridModel, m: MassAssignment) -> MassAssignment:

@@ -267,9 +267,9 @@ def test_criterion_9_lefevre_recovery():
 
 
 def test_criterion_10_roundtrip_n_le_4():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         frame = build_frame([f"t{i}" for i in range(1, n + 1)])
         for p in enumerate_hpset(frame):
             q = _parse_or_empty(frame, to_expression(p))
             assert q == p, to_expression(p)
-    _ok(10, "parse(to_expression(.)) identity on all elements up to n=4")
+    _ok(10, "parse(to_expression(.)) identity on all elements up to n=5")

@@ -342,6 +342,23 @@ def test_session_keeps_no_earlier_result(frame2, frame3):
     assert [rec.label for rec in results] == ["t2"]
 
 
+def test_suspended_session_holds_no_breakdown(frame2, frame3):
+    """A stage read and dropped leaves no S1/S2/S3 breakdown alive while the session waits."""
+    m3 = assignment(frame3, {"t3": 0.4, "t1&t3": 0.3, "t2|t3": 0.3})
+    results = run_session(frame2, dyn12_sources(frame2), [
+        Stage(at="t1", add_elements=("t3",), add_source=m3),
+        Stage(at="t2", set_constraints=("t3",)),
+    ])
+    assert next(results).label == "t0"
+    rec = next(results)
+    assert rec.label == "t1"
+    breakdown = weakref.ref(rec.breakdown)
+    del rec
+    gc.collect()
+    assert breakdown() is None
+    assert [rec.label for rec in results] == ["t2"]
+
+
 def test_session_folds_later_stages_on_demand(frame2, monkeypatch):
     """run_session folds t0 at once, and takes and applies each later stage only when read."""
     folds = _spy(monkeypatch, "_classic_fold")

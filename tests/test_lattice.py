@@ -375,6 +375,37 @@ def test_wide_frame_antichain_round_trip(data, n):
     assert list(gens) == sorted(gens, key=lambda g: (len(g), g))
 
 
+def reference_expression(p):
+    """to_expression spelled out from `p.generators`, sorted by length in reverse (a stable sort)."""
+    if p.is_empty:
+        return "EMPTY"
+    gens = sorted(p.generators, key=len, reverse=True)
+    terms = ["&".join(p.frame.names[d - 1] for d in g) for g in gens]
+    if len(gens) > 1:
+        terms = [f"({term})" if len(g) > 1 else term for g, term in zip(gens, terms)]
+    return "|".join(terms)
+
+
+def test_to_expression_matches_reference_on_every_n5_element():
+    names = ["t4", "t1", "t5", "t3", "t2"]  # shuffled: names and digits in different orders
+    frame = build_frame(names)
+    elements = enumerate_hpset(frame)
+    assert len(elements) == 7580
+    for _ in range(2):  # the frame's terms filled, then read back
+        for p in elements:
+            assert to_expression(p) == reference_expression(p)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(8, 12))
+def test_to_expression_matches_reference_on_wide_frames(data, n):
+    frame = build_frame(data.draw(st.permutations([f"t{i}" for i in range(1, n + 1)])))
+    digit_sets = st.lists(st.sets(st.integers(1, n), min_size=1), max_size=6)
+    p = from_generators(frame, data.draw(digit_sets))
+    assert to_expression(p) == reference_expression(p)
+    assert to_expression(p) == reference_expression(p)  # from the frame's terms
+
+
 class TestCheckedConstruction:
     def test_not_up_closed_raises(self, frame3):
         # atoms 1 and 123 without 12 and 13: once printed as (t1&t2&t3)|t1

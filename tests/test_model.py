@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsmfusion import (
+    HybridModel,
     MassAssignment,
     Proposition,
     build_frame,
@@ -15,6 +17,7 @@ from dsmfusion import (
     empty,
     encoding_matrix,
     enumerate_hpset,
+    from_generators,
     parse,
     shafer_model,
     singleton,
@@ -162,6 +165,16 @@ class TestSurvivors:
             assert cls.representative == m5.reduce(cls.members[0])
             assert len(cls) == len(cls.members)
         assert len(classes) == 344
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_representative_is_the_first_member(self, data, n):
+        frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+        constraints = data.draw(st.lists(st.sets(st.integers(1, n), min_size=1), max_size=3))
+        model = HybridModel(frame, from_generators(frame, constraints).mask)
+        for cls in survivors(model):
+            assert cls.representative == cls.members[0]
+            assert cls.representative == model.reduce(cls.members[0])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shafer_power_set_bijection(self, n):
