@@ -64,8 +64,8 @@ MUTANTS = (
            "if any(mask & alive for mask in s1):",
            ("test_rules.py",)),
     Mutant("u() from the first generator only", "lattice.py",
-           "        digits |= bits[pos]\n    return digits",
-           "        return bits[pos]\n    return digits",
+           "        digits |= generator\n    return digits",
+           "        return generator\n    return digits",
            ("test_lattice.py", "test_rules.py")),
     Mutant("a session keeps every table instead of sealing to S1", "dynamic.py",
            "tables = [s1, src._masses]",
@@ -88,6 +88,18 @@ MUTANTS = (
            "return chain(iter([next(session)]), session)",
            "return session",
            ("test_dynamic.py",)),
+    Mutant("embedding ignores the target's name order", "dynamic.py",
+           "moved = [1 << new.names.index(name) for name in old.names]",
+           "moved = [1 << i for i in range(old.n)]",
+           ("test_dynamic.py",)),
+    Mutant("embed drops smets_mode", "dynamic.py",
+           "MassAssignment._from_masks(new, remapped, m.smets_mode)",
+           "MassAssignment._from_masks(new, remapped)",
+           ("test_dynamic.py",)),
+    Mutant("build_frame admits EMPTY as a singleton name", "lattice.py",
+           '"(?!EMPTY\\Z)[A-Za-z]',
+           '"[A-Za-z]',
+           ("test_lattice.py",)),
     Mutant("compress groups on the unmasked key", "model.py",
            "_classes(model.alive, masses, masses.items())",
            "_classes(model.frame.full_mask, masses, masses.items())",

@@ -7,8 +7,9 @@ the same tuples.  It keeps their classic (S1) fold too: a new source and
 the previous S1 become the tables, folded once; every other stage and
 `dsmc` read S1 as it is.  Constraints are parsed once, when set.  Frame
 growth embeds each distinct mask of the tables, of S1 and of the model's
-empty atoms once; embedding commutes with meet, join and u(), so the folds
-and the model are unchanged.
+empty atoms once, on masks, by renaming each generator's digits to the
+same singletons' positions on the grown frame; embedding commutes with
+meet, join and u(), so the folds and the model are unchanged.
 
 A session is one loop over its stages, the initial block "t0" first, and
 keeps no earlier results: it makes each stage's compressed result when the
@@ -19,25 +20,33 @@ caller keeps what it reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .bba import MassAssignment
 from .errors import MissingName, RuleNotApplicable, ScenarioError
 from .exprparse import parse
-from .lattice import Frame, Proposition, _proposition, build_frame, from_generators
+from .lattice import Frame, Proposition, _generators, _proposition, _up_mask, build_frame
 from .model import HybridModel, build_model, compress
 from .rules import HybridBreakdown, _classic_fold, _common_frame, _hybrid_breakdown
 
 
-def embed_proposition(p: Proposition, new: Frame) -> Proposition:
-    """Reinterpret a lattice term over a larger frame via its generators."""
-    old = p.frame
+def _embed_mask(old: Frame, new: Frame, mask: int) -> int:
+    """An atom bitset of `old` on `new`: its generators, renamed by singleton name, up-closed."""
     for name in old.names:
         if name not in new.names:
             raise MissingName(f"singleton {name!r} missing from the target frame")
-    return from_generators(new, [[new.index(old.names[d - 1]) for d in g] for g in p.generators])
+    moved = [1 << new.names.index(name) for name in old.names]  # each old digit's bit on `new`
+    out = 0
+    for digits in _generators(old.n, mask):
+        out |= _up_mask(new.n, sum(moved[d] for d in range(digits.bit_length()) if digits >> d & 1))
+    return out
+
+
+def embed_proposition(p: Proposition, new: Frame) -> Proposition:
+    """Reinterpret a lattice term over a larger frame via its generators."""
+    return _proposition(new, _embed_mask(p.frame, new, p.mask))
 
 
 def embed(m: MassAssignment, new: Frame) -> MassAssignment:
@@ -47,8 +56,8 @@ def embed(m: MassAssignment, new: Frame) -> MassAssignment:
     so the vacuous assignment on the old frame stays on the old singletons'
     union rather than becoming the new total ignorance.
     """
-    remapped = {embed_proposition(p, new): v for p, v in m.items()}
-    return MassAssignment(new, remapped, smets_mode=m.smets_mode)
+    remapped = {_embed_mask(m.frame, new, mask): v for mask, v in m._masses.items()}
+    return MassAssignment._from_masks(new, remapped, m.smets_mode)
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,7 @@ def _session(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1:
     for stage in stages:
         if stage.add_elements:
             old, frame = frame, build_frame(frame.names + tuple(stage.add_elements))
-            embed_mask = cache(lambda mask: embed_proposition(_proposition(old, mask), frame).mask)
+            embed_mask = cache(partial(_embed_mask, old, frame))
             s1, *tables = [{embed_mask(mask): v for mask, v in t.items()} for t in (s1, *tables)]
             # embedding preserves meet and join: this is the constraints parsed on the new frame
             model = HybridModel(frame, embed_mask(model.empty_mask))

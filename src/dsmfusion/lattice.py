@@ -24,14 +24,14 @@ down; the atoms above any position form an up-set, so each step keeps the
 up-closed sets of the atoms seen so far and adds the atom to those holding
 its proper supersets.
 
-Generator extraction (`_generator_positions`, behind `generators` and
-`u_of`, and the same walk in `_up_closure` and `to_expression`) takes one
-step per generator and is exact on any atom set: the lowest atom present
-is minimal, since its proper subsets all sit at lower positions, and
-clearing its up-closure leaves the remaining generators.  `to_expression`
-walks the digit bitsets itself, not `generators`' digit tuples, and names
-each from its frame's `_terms`: the "&"-joined names of the digit sets
-that frame has printed, at most 2^n - 1 strings, freed with the frame.
+Generator extraction is one walk, `_generators`, behind `generators`,
+`u_of`, `to_expression` and frame growth.  It takes one step per
+generator and is exact on any atom set: the lowest atom present is
+minimal, since its proper subsets all sit at lower positions, and
+clearing its up-closure leaves the remaining generators.  `_up_closure`
+ORs up-closures in a loop of its own and lists no generators.
+`to_expression` names each generator from its frame's `_terms`, at most
+2^n - 1 strings, freed with the frame.
 
 The public `Proposition(frame, mask)` checks that the mask is an element:
 in range and up-closed.  Library code, which only ever builds elements,
@@ -86,14 +86,13 @@ FOLD_LIMIT = 2**30
 #: 3.11 before the first fold step refused them.
 LOAD_LIMIT = 2**27
 
-#: Entries kept by each cache that generators read: the up-closures of
-#: single atoms, keyed by frame size and digit bitset, and `_digit_tuple`,
-#: keyed by digit bitset alone.  Each holds every key of every frame up to
-#: n=12 at once (8178 and 4095 keys); beyond that the size bounds memory, as
-#: an up-closure holds up to 2^n - 1 bits (32 KiB at FRAME_LIMIT).
+#: Entries kept by `_up_mask`, the up-closures of single atoms that generator
+#: walks read, keyed by frame size and digit bitset: every key of every frame
+#: up to n=12 at once (8178 keys); beyond that the size bounds memory, as an
+#: up-closure holds up to 2^n - 1 bits (32 KiB at FRAME_LIMIT).
 GENERATOR_CACHE_SIZE = 8192
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(r"(?!EMPTY\Z)[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +102,6 @@ def _atom_bits(n: int) -> tuple[int, ...]:
     return tuple(chain.from_iterable(map(sum, combinations(powers, size)) for size in range(1, n + 1)))
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _digit_tuple(digits: int) -> tuple[int, ...]:
     """The digits of a digit bitset in ascending order: 0b101 -> (1, 3)."""
     return tuple(d + 1 for d in range(digits.bit_length()) if digits >> d & 1)
@@ -152,8 +150,8 @@ def _singletons_union(n: int, digits: int) -> int:
     return out
 
 
-def _generator_positions(n: int, mask: int) -> tuple[int, ...]:
-    """Ascending positions of the atoms of `mask` minimal under digit-set inclusion.
+def _generators(n: int, mask: int) -> list[int]:
+    """Digit bitsets of the atoms of `mask` minimal under digit-set inclusion, in atom order.
 
     Every proper subset of an atom sits at a lower position, so the lowest
     atom present is minimal; clearing its up-closure leaves the other
@@ -162,10 +160,10 @@ def _generator_positions(n: int, mask: int) -> tuple[int, ...]:
     bits = _atom_bits(n)
     out = []
     while mask:
-        i = (mask & -mask).bit_length() - 1
-        out.append(i)
-        mask &= ~_up_mask(n, bits[i])
-    return tuple(out)
+        digits = bits[(mask & -mask).bit_length() - 1]
+        out.append(digits)
+        mask &= ~_up_mask(n, digits)
+    return out
 
 
 def _up_closure(n: int, mask: int) -> int:
@@ -222,7 +220,7 @@ class Frame:
 
 
 def build_frame(names: Iterable[str]) -> Frame:
-    """Validate singleton names and build a Frame of at most FRAME_LIMIT singletons."""
+    """Validate singleton names (not "EMPTY") and build a Frame of at most FRAME_LIMIT singletons."""
     names = tuple(names)
     if not names:
         raise EmptyFrame("a frame needs at least one singleton name")
@@ -283,8 +281,7 @@ class Proposition:
         The antichain uniquely determines (and is determined by) the mask;
         from_generators takes it back.
         """
-        bits = _atom_bits(self.frame.n)
-        return tuple(_digit_tuple(bits[i]) for i in _generator_positions(self.frame.n, self.mask))
+        return tuple(map(_digit_tuple, _generators(self.frame.n, self.mask)))
 
     def __and__(self, other: "Proposition") -> "Proposition":
         return conjoin(self, other)
@@ -371,10 +368,9 @@ def u_of(p: Proposition) -> Proposition:
 
 def _u_digits(n: int, mask: int) -> int:
     """u() as a digit bitset: the OR of the digit bitsets of mask's generators."""
-    bits = _atom_bits(n)
     digits = 0
-    for pos in _generator_positions(n, mask):
-        digits |= bits[pos]
+    for generator in _generators(n, mask):
+        digits |= generator
     return digits
 
 
@@ -415,17 +411,11 @@ def to_expression(p: Proposition) -> str:
     mask = p.mask
     if not mask:
         return "EMPTY"
-    frame = p.frame
-    names, terms = frame.names, frame._terms
-    n = len(names)
-    bits = _atom_bits(n)
-    gens = []
-    while mask:
-        digits = bits[(mask & -mask).bit_length() - 1]
+    names, terms = p.frame.names, p.frame._terms
+    gens = _generators(len(names), mask)
+    for digits in gens:
         if digits not in terms:
             terms[digits] = "&".join([names[d] for d in range(digits.bit_length()) if digits >> d & 1])
-        gens.append(digits)
-        mask &= ~_up_mask(n, digits)
     if len(gens) == 1:
         return terms[gens[0]]
     gens.sort(key=int.bit_count, reverse=True)

@@ -134,6 +134,12 @@ class TestHpset:
         out = capsys.readouterr().out
         assert len([ln for ln in out.splitlines() if "members=" in ln]) == 2
 
+    def test_empty_as_a_singleton_name_exit_2(self, capsys):
+        # it would print "EMPTY" for both the empty class and the singleton's
+        assert main(["hpset", "--frame", "EMPTY,b"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "'EMPTY'" in err
+
     def test_matrix(self, capsys):
         assert main(["hpset", "--frame", "t1,t2,t3",
                      "--constraints", "((t1&t2)|t3)&(t1|t2)", "--matrix"]) == 0
@@ -564,6 +570,22 @@ class TestCombine:
         }
         path = scenario_file(doc)
         assert main(["combine", "--scenario", path, "--rule", "dsmc"]) == 2
+
+    def test_empty_as_a_singleton_name_exit_2(self, scenario_file, capsys):
+        # read as a mass key, "EMPTY" would be the empty set, not the singleton
+        doc = {
+            "frame": ["EMPTY", "b"],
+            "smets_mode": True,
+            "sources": [
+                {"name": "a", "masses": [{"prop": "EMPTY", "mass": "0.4"}, {"prop": "b", "mass": "0.6"}]},
+                {"name": "c", "masses": [{"prop": "EMPTY|b", "mass": "1.0"}]},
+            ],
+        }
+        assert main(["combine", "--scenario", scenario_file(doc), "--rule", "dsmc"]) == 2
+        grown = {"frame": ["a", "b"], "sources": SCENARIO_AB["sources"],
+                 "events": [{"at": "late", "add_elements": ["EMPTY"]}]}
+        assert main(["combine", "--scenario", scenario_file(grown), "--rule", "dsmh"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_byte_deterministic(self, scenario_file):
         # different hash seeds shake out any set-ordering leaks

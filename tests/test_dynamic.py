@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsmfusion import (
+    MassAssignment,
     Stage,
     build_frame,
     build_model,
@@ -16,6 +17,8 @@ from dsmfusion import (
     dsm_hybrid,
     embed,
     embed_proposition,
+    empty,
+    from_generators,
     parse,
     run_session,
     to_expression,
@@ -63,6 +66,33 @@ class TestEmbed:
         p = parse(old, "b&a")
         q = embed_proposition(p, new)
         assert to_expression(q) == "a&b"
+
+
+def reference_embedding(p, new):
+    """p on `new`: each generator's digits renamed to the same singletons' positions there."""
+    return from_generators(new, [[new.index(p.frame.names[d - 1]) for d in g] for g in p.generators])
+
+
+def _up_closed_on(frame):
+    return st.lists(st.sets(st.integers(1, frame.n), min_size=1), max_size=4).map(
+        lambda gs: from_generators(frame, gs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), added=st.integers(0, 2))
+def test_embedding_renames_by_name(data, n, added):
+    """Any order of the old names, with new names anywhere among them, on random elements."""
+    old = build_frame([f"t{i}" for i in range(1, n + 1)])
+    new = build_frame(data.draw(st.permutations([*old.names, *(f"x{i}" for i in range(added))])))
+    p = data.draw(_up_closed_on(old))
+    assert embed_proposition(p, new) == reference_embedding(p, new)
+    # an open-world source keeps its EMPTY mass, and its mode, on the grown frame
+    non_empty = _up_closed_on(old).filter(lambda q: not q.is_empty)
+    focal = data.draw(st.lists(non_empty, min_size=1, max_size=3, unique=True))
+    m = MassAssignment(old, {empty(old): 0.5, **{q: 0.5 / len(focal) for q in focal}}, smets_mode=True)
+    out = embed(m, new)
+    assert out.frame == new and out.smets_mode
+    assert dict(out.items()) == {reference_embedding(q, new): v for q, v in m.items()}
 
 
 def by_expression(rec) -> dict[str, float]:

@@ -29,7 +29,7 @@ from dsmfusion.errors import (
     NotAnElement,
 )
 from dsmfusion.lattice import (
-    GENERATOR_CACHE_SIZE, _atom_bits, _digit_masks, _digit_tuple, _generator_positions, _up_mask)
+    GENERATOR_CACHE_SIZE, _atom_bits, _digit_masks, _digit_tuple, _generators, _up_mask)
 from conftest import atom_digits, atom_labels, label
 
 
@@ -82,6 +82,12 @@ class TestFrame:
     def test_invalid_identifier(self, bad):
         with pytest.raises(InvalidIdentifier):
             build_frame(["ok", bad])
+
+    def test_empty_is_no_singleton_name(self):
+        # "EMPTY" names the empty set in mass keys and printed tables
+        with pytest.raises(InvalidIdentifier):
+            build_frame(["EMPTY", "b"])
+        assert build_frame(["EMPTY1", "Empty", "b"]).n == 3
 
     def test_frame_limit(self):
         assert FRAME_LIMIT == 18
@@ -337,9 +343,13 @@ def test_generator_extraction_matches_oracle(data, n):
     p = data.draw(_up_closed(frame))
     e = data.draw(_up_closed(frame))
     survivors = p & ~e
-    assert _generator_positions(n, p) == oracle_generator_positions(n, p)
-    assert _generator_positions(n, survivors) == oracle_generator_positions(n, survivors)
     atoms = atom_digits(n)
+
+    def oracle_digit_bitsets(mask):
+        return [sum(1 << (d - 1) for d in atoms[i]) for i in oracle_generator_positions(n, mask)]
+
+    assert _generators(n, p) == oracle_digit_bitsets(p)
+    assert _generators(n, survivors) == oracle_digit_bitsets(survivors)
     digits = {d for i in oracle_generator_positions(n, p) for d in atoms[i]}
     assert u_of(Proposition(frame, p)) == from_generators(frame, [(d,) for d in digits])
     model = HybridModel(frame, e)
@@ -349,9 +359,8 @@ def test_generator_extraction_matches_oracle(data, n):
     if n <= 5:
         # any atom set, convex or not
         mask = sum(1 << i for i in data.draw(st.sets(st.integers(0, frame.atom_count - 1))))
-        assert _generator_positions(n, mask) == oracle_generator_positions(n, mask)
-    assert _up_mask.cache_info().maxsize is not None
-    assert _digit_tuple.cache_info().maxsize == GENERATOR_CACHE_SIZE
+        assert _generators(n, mask) == oracle_digit_bitsets(mask)
+    assert _up_mask.cache_info().maxsize == GENERATOR_CACHE_SIZE
 
 
 @settings(max_examples=100)

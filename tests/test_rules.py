@@ -787,7 +787,7 @@ def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
     def no_generators(*args):
         raise AssertionError("generators extracted")
 
-    monkeypatch.setattr(lattice, "_generator_positions", no_generators)
+    monkeypatch.setattr(lattice, "_generators", no_generators)
     monkeypatch.setattr(rules, "_u_digits", no_generators)
     dsm_classic(ms)
     dempster(ps)
