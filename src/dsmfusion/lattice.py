@@ -29,7 +29,7 @@ Generator extraction is one walk, `_generators`, behind `generators`,
 generator and is exact on any atom set: the lowest atom present is
 minimal, since its proper subsets all sit at lower positions, and
 clearing its up-closure leaves the remaining generators.  `_up_closure`
-ORs up-closures in a loop of its own and lists no generators.
+takes these steps in a loop of its own, ORing up-closures as it clears them.
 `to_expression` names each generator from its frame's `_terms`, at most
 2^n - 1 strings, freed with the frame.
 
@@ -170,8 +170,10 @@ def _up_closure(n: int, mask: int) -> int:
     """Smallest up-closed atom bitset containing mask: its generators' up-closure."""
     bits = _atom_bits(n)
     out = 0
-    while rest := mask & ~out:
-        out |= _up_mask(n, bits[(rest & -rest).bit_length() - 1])
+    while mask:
+        up = _up_mask(n, bits[(mask & -mask).bit_length() - 1])
+        out |= up
+        mask &= ~up
     return out
 
 

@@ -118,12 +118,12 @@ class EquivClass:
         return len(self.member_masks)
 
 
-def _classes(alive: int, keys: Iterable[int], items: Iterable) -> list[tuple[int, list]]:
+def _classes(alive: int, keys: Iterable[int], items: Iterable) -> dict[int, list]:
     """Group items, each given with its atom-bitset key, into model-equivalence classes.
 
-    A key's surviving atoms are `key & alive`.  Returns (surviving atoms,
-    items) per class, classes ordered by their surviving atom sets (count,
-    then bitset value) and items in input order.
+    A key's surviving atoms are `key & alive`.  Returns {surviving atoms:
+    items}, unsorted, with items in input order; `survivors` and
+    `compression_report` sort the classes by their surviving atom sets.
     """
     groups: dict[int, list] = {}
     get = groups.get
@@ -133,7 +133,7 @@ def _classes(alive: int, keys: Iterable[int], items: Iterable) -> list[tuple[int
             groups[reduced] = [item]
         else:
             group.append(item)
-    return [(reduced, groups[reduced]) for reduced in sorted(groups, key=_canonical_key)]
+    return groups
 
 
 def survivors(model: HybridModel) -> list[EquivClass]:
@@ -151,8 +151,9 @@ def survivors(model: HybridModel) -> list[EquivClass]:
     """
     _check_enumerable(model.frame)
     frame, masks = model.frame, _up_closed_masks(model.frame.n)
-    return [EquivClass(_proposition(frame, members[0]), tuple(members))
-            for _, members in _classes(model.alive, masks, masks)]
+    groups = _classes(model.alive, masks, masks)
+    return [EquivClass(_proposition(frame, groups[reduced][0]), tuple(groups[reduced]))
+            for reduced in sorted(groups, key=_canonical_key)]
 
 
 def encoding_matrix(model: HybridModel,
@@ -180,25 +181,25 @@ def compression_report(
     pairs in the order of the input mapping.  Classes come out in canonical
     order of their surviving atom sets.
     """
-    n = model.frame.n
-    return [(_up_closure(n, reduced), tuple(members), fsum(v for _, v in members))
-            for reduced, members in _classes(model.alive, masses, masses.items())]
+    n, groups = model.frame.n, _classes(model.alive, masses, masses.items())
+    return [(_up_closure(n, reduced), tuple(groups[reduced]), fsum(v for _, v in groups[reduced]))
+            for reduced in sorted(groups, key=_canonical_key)]
 
 
 def compress(model: HybridModel, m: MassAssignment) -> MassAssignment:
     """Sum masses over model-equivalent propositions: the class totals of `compression_report`.
 
-    Pure re-summation: the total is preserved and nothing is normalized.
-    Mass landing on the merged-empty class is an input error here (hybrid
-    rule output never produces it).
+    Pure re-summation in one unsorted pass: the total is preserved and nothing
+    is normalized.  Mass landing on the merged-empty class is an input error
+    here (hybrid rule output never produces it), named by its first member.
     """
     if m.frame != model.frame:
         raise FrameMismatch("assignment is not on the model's frame")
-    sums: dict[int, float] = {}
-    for rep, members, total in compression_report(model, m._masses):
-        if not rep:
-            mask, value = members[0]
-            prop = _proposition(model.frame, mask)
-            raise MassOnEmptyClass(f"mass {value!r} on {prop}, which is empty under the model")
-        sums[rep] = total
+    masses, alive, n = m._masses, model.alive, model.frame.n
+    groups = _classes(alive, masses, masses.values())
+    if 0 in groups:
+        mask = next(mask for mask in masses if not mask & alive)  # masses are in canonical order
+        prop = _proposition(model.frame, mask)
+        raise MassOnEmptyClass(f"mass {masses[mask]!r} on {prop}, which is empty under the model")
+    sums = {_up_closure(n, reduced): fsum(values) for reduced, values in groups.items()}
     return MassAssignment._from_masks(model.frame, sums, smets_mode=m.smets_mode)

@@ -14,7 +14,8 @@ each holding only what the term reads (w is the frame's atom count):
   * S1, the classic rule (also `dsm_classic`, the mixture and session
     seals): the free-lattice intersection (meet), an atom bitset;
   * S3: the meet on the model's surviving atoms | the free-lattice union
-    (join) << w; a tuple whose surviving meet is 0 books on its join;
+    (join) << w; the last step keeps only the products whose surviving
+    meet is 0 and books them straight on their join;
   * S2: the union of u() over model-empty focal sets only, as a digit
     bitset (n bits), so it runs only when every source has one.  It books
     on that union of singletons, or on total ignorance when that is empty.
@@ -27,10 +28,10 @@ under Shafer's model, compressed to the power set.
 
 The three tables keep their entries on model-empty rows, so a breakdown
 can show where constrained mass sat before the transfer; the final mass
-gates every row by the characteristic emptiness function, which removes
-the overlap between the sums and makes the result add to one without any
-normalization.  Tables and results are keyed by atom bitset; Propositions
-are built where a caller reads them.
+gates every row by the characteristic emptiness function, in one pass over
+the three tables, which removes the overlap between the sums and makes the
+result add to one without any normalization.  Tables and results are keyed
+by atom bitset; Propositions are built where a caller reads them.
 """
 
 from __future__ import annotations
@@ -71,20 +72,24 @@ def _common_frame(ms: Sequence[MassAssignment]) -> Frame:
 
 
 def _fsums(table: dict) -> dict:
-    return {key: fsum(vals) for key, vals in table.items()}
+    return dict(zip(table, map(fsum, table.values())))
+
+
+def _check_step(states: dict, rows, bits: int) -> None:
+    if len(states) * len(rows) * bits > FOLD_LIMIT:
+        raise CombinationTooLarge(
+            f"a fold step of {len(states)} states x {len(rows)} focal sets x {bits} bits "
+            f"exceeds FOLD_LIMIT = {FOLD_LIMIT}")
 
 
 def _fold(start: int, sources: Iterable[list[tuple[int, int, float]]], bits: int) -> dict[int, float]:
     """Fold sources of (a, o, value) rows into states: s becomes s & a | o, mass summed exactly.
 
-    A step of states x rows x `bits` (the states' width) past FOLD_LIMIT is refused.
+    A step of states x rows x `bits` (the states' width) past FOLD_LIMIT is refused (`_check_step`).
     """
     states = {start: 1.0}
     for rows in sources:
-        if len(states) * len(rows) * bits > FOLD_LIMIT:
-            raise CombinationTooLarge(
-                f"a fold step of {len(states)} states x {len(rows)} focal sets x {bits} bits "
-                f"exceeds FOLD_LIMIT = {FOLD_LIMIT}")
+        _check_step(states, rows, bits)
         step: dict[int, list[float]] = {}
         for state, mass in states.items():
             for a, o, value in rows:
@@ -137,8 +142,17 @@ def _hybrid_tables(tables: Sequence[Mapping[int, float]], model: HybridModel,
     if all(mask & alive for mask in s1):
         return s1, {}, {}
     keep = full << w
-    states = _fold(alive, ([(mask | keep, mask << w, v) for mask, v in t.items()] for t in tables), 2 * w)
-    s3 = {state >> w: mass for state, mass in states.items() if not state & full}  # join << w alone
+    *head, last = tables
+    states = _fold(alive, ([(mask | keep, mask << w, v) for mask, v in t.items()] for t in head), 2 * w)
+    _check_step(states, last, 2 * w)
+    s3: dict[int, list[float]] = {}
+    dying: dict[int, list] = {}  # per surviving meet, the last rows that leave it no atom
+    for state, mass in states.items():
+        meet, join = state & full, state >> w
+        if (rows := dying.get(meet)) is None:
+            rows = dying[meet] = [(mask, v) for mask, v in last.items() if not meet & mask]
+        for mask, v in rows:
+            s3.setdefault(join | mask, []).append(mass * v)
     dead = [[(mask, v) for mask, v in t.items() if not mask & alive] for t in tables]
     s2: dict[int, list[float]] = {}
     if all(dead):
@@ -147,15 +161,18 @@ def _hybrid_tables(tables: Sequence[Mapping[int, float]], model: HybridModel,
         for digits, mass in unions.items():
             target = _singletons_union(n, digits)
             s2.setdefault(target if target & alive else full, []).append(mass)
-    return s1, _fsums(s2), s3
+    return s1, _fsums(s2), _fsums(s3)
 
 
 def _gate(model: HybridModel, tables: tuple[dict, dict, dict]) -> dict[int, float]:
     """The hybrid result: the sum of S1, S2 and S3 on every key not empty under the model."""
-    s1, s2, s3 = tables
     alive = model.alive
-    return {mask: fsum((s1.get(mask, 0.0), s2.get(mask, 0.0), s3.get(mask, 0.0)))
-            for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}
+    sums: dict[int, list[float]] = {}
+    for table in tables:
+        for mask, value in table.items():
+            if mask & alive:
+                sums.setdefault(mask, []).append(value)
+    return _fsums(sums)
 
 
 def _hybrid_breakdown(tables: Sequence[Mapping[int, float]], model: HybridModel,
