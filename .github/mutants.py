@@ -41,8 +41,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("_gate keeps model-empty keys", "rules.py",
-           "for mask in s1.keys() | s2.keys() | s3.keys() if mask & alive}",
-           "for mask in s1.keys() | s2.keys() | s3.keys()}",
+           "if mask & alive:\n                sums.setdefault(mask, []).append(value)",
+           "if True:\n                sums.setdefault(mask, []).append(value)",
            ("test_rules.py",)),
     Mutant("S2 books on a model-empty target", "rules.py",
            "s2.setdefault(target if target & alive else full, [])",
@@ -56,8 +56,12 @@ MUTANTS = (
            "if all(dead):", "if any(dead):",
            ("test_rules.py",)),
     Mutant("S3 keeps states whose meet survived", "rules.py",
-           "s3 = {state >> w: mass for state, mass in states.items() if not state & full}",
-           "s3 = {state >> w: mass for state, mass in states.items()}",
+           "[(mask, v) for mask, v in last.items() if not meet & mask]",
+           "list(last.items())",
+           ("test_rules.py",)),
+    Mutant("S3's last step skips its FOLD_LIMIT check", "rules.py",
+           "    _check_step(states, last, 2 * w)\n",
+           "",
            ("test_rules.py",)),
     Mutant("S2/S3 skipped when any S1 key survives", "rules.py",
            "if all(mask & alive for mask in s1):",
@@ -101,8 +105,12 @@ MUTANTS = (
            '"[A-Za-z]',
            ("test_lattice.py",)),
     Mutant("compress groups on the unmasked key", "model.py",
-           "_classes(model.alive, masses, masses.items())",
-           "_classes(model.frame.full_mask, masses, masses.items())",
+           "groups = _classes(alive, masses, masses.values())",
+           "groups = _classes(model.frame.full_mask, masses, masses.values())",
+           ("test_model.py", "test_rules.py")),
+    Mutant("compress sums only a class's first member", "model.py",
+           "fsum(values) for reduced, values in groups.items()",
+           "values[0] for reduced, values in groups.items()",
            ("test_model.py", "test_rules.py")),
     Mutant("validate lets negatives down to -1e-3 through", "bba.py",
            "if value < 0:",

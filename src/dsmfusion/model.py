@@ -152,8 +152,8 @@ def survivors(model: HybridModel) -> list[EquivClass]:
     _check_enumerable(model.frame)
     frame, masks = model.frame, _up_closed_masks(model.frame.n)
     groups = _classes(model.alive, masks, masks)
-    return [EquivClass(_proposition(frame, groups[reduced][0]), tuple(groups[reduced]))
-            for reduced in sorted(groups, key=_canonical_key)]
+    return [EquivClass(_proposition(frame, members[0]), tuple(members))
+            for members in map(groups.__getitem__, sorted(groups, key=_canonical_key))]
 
 
 def encoding_matrix(model: HybridModel,

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dsmfusion import (
     HybridModel,
@@ -25,6 +25,7 @@ from dsmfusion import (
     to_expression,
 )
 from dsmfusion.errors import FrameMismatch, MassOnEmptyClass, NotAnElement, VacuousModel
+from dsmfusion.model import compression_report
 from conftest import assignment, atom_labels, random_proposition
 
 
@@ -250,6 +251,42 @@ class TestCompress:
         a = assignment(frame3, {"t1&t2": 0.3, "t3": 0.7})
         with pytest.raises(MassOnEmptyClass):
             compress(model, a)
+
+    def test_mass_on_empty_class_names_the_first_member(self, frame3):
+        """The error names the model-empty member that comes first in canonical order."""
+        model = model_for(frame3, "t1&t2")
+        a = assignment(frame3, {"t1&t2": 0.2, "t1&t2&t3": 0.1, "t3": 0.7})
+        with pytest.raises(MassOnEmptyClass, match=r"^mass 0\.1 on t1&t2&t3, which is empty under the model$"):
+            compress(model, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4))
+    def test_totals_are_compression_reports(self, data, n):
+        """compress gives exactly the totals compression_report lists, classes of many members included.
+
+        Each drawn element is taken with variants that add model-empty atoms
+        to it, which fall in its class.
+        """
+        frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+        digit_set = st.sets(st.integers(1, n), min_size=1)
+        constraints = data.draw(st.lists(digit_set, min_size=1, max_size=3))
+        model = HybridModel(frame, from_generators(frame, constraints).mask)
+        assume(model.alive)
+        masks = set()
+        for gens in data.draw(st.lists(st.lists(digit_set, min_size=1, max_size=3), min_size=1, max_size=5)):
+            mask = from_generators(frame, gens).mask
+            if mask & model.alive:
+                masks.add(mask)
+                for extra in data.draw(st.lists(digit_set, max_size=3)):  # supersets of a constraint
+                    dead = from_generators(frame, [extra | data.draw(st.sampled_from(constraints))])
+                    masks.add(mask | dead.mask)
+        if not masks:
+            return
+        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(masks), max_size=len(masks)))
+        scale = sum(weights)
+        m = MassAssignment._from_masks(frame, {mask: w / scale for mask, w in zip(sorted(masks), weights)})
+        report = compression_report(model, m._masses)
+        assert compress(model, m)._masses == {rep: total for rep, _, total in report}
 
     def test_total_preserved(self, frame3):
         rng = random.Random(13)

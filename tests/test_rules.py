@@ -39,6 +39,7 @@ from dsmfusion import (
 )
 from dsmfusion import lattice, rules
 from dsmfusion.errors import (
+    CombinationTooLarge,
     FewerThanTwoSources,
     FullContradiction,
     NotAnElement,
@@ -773,6 +774,22 @@ def test_hybrid_skips_s2_and_s3_without_a_model_empty_meet(frame3, monkeypatch):
     widths.clear()
     dsm_hybrid(ms, model_for(frame3, "t1"))  # empties every meet, and a focal set of each source
     assert widths == [w, 2 * w, frame3.n]
+
+
+def test_s3_last_step_is_bounded(frame3, monkeypatch):
+    """S3's last step, which books on the join outside the fold loop, runs the FOLD_LIMIT check.
+
+    Under Shafer's model the S1 steps cost 7, 7 and 28 (states x focal sets
+    x 7 atom bits) and S3's 14, 14 and 56 (14 bits), so a limit of 30 admits
+    S1 and S3's first two steps but not its last.  The free model runs S1
+    alone and passes.
+    """
+    ms = [assignment(frame3, {"t1": 1.0}), assignment(frame3, {"t2": 1.0}),
+          assignment(frame3, {"t1": 0.25, "t2": 0.25, "t3": 0.25, "t1|t2|t3": 0.25})]
+    monkeypatch.setattr(rules, "FOLD_LIMIT", 30)
+    with pytest.raises(CombinationTooLarge, match="1 states x 4 focal sets x 14 bits"):
+        dsm_hybrid(ms, shafer_model(frame3))
+    assert dsm_hybrid(ms, build_model(frame3, [])).result.total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
