@@ -5,10 +5,10 @@ Usage: python3 .github/mutants.py
 
 Each entry of MUTANTS names a library file, a text that occurs in it exactly
 once, the text that replaces it and the test files that must catch the
-change.  The script copies the package, the tests and pyproject.toml into a
-temporary directory, checks that the named test files pass there
-unmutated, then applies one mutant at a time and runs `pytest -x` on its
-test files.  It exits 1 when a mutant survives, when its text is not found
+change.  The script copies the package, the tests, pyproject.toml and the
+README into a temporary directory, checks that the named test files pass
+there unmutated, then applies one mutant at a time and runs `pytest -x` on
+its test files.  It exits 1 when a mutant survives, when its text is not found
 exactly once, or when the unmutated tests fail.
 
 EQUIVALENT lists mutants that change no result any test can observe, each
@@ -97,8 +97,8 @@ MUTANTS = (
            "moved = [1 << i for i in range(old.n)]",
            ("test_dynamic.py",)),
     Mutant("embed drops smets_mode", "dynamic.py",
-           "MassAssignment._from_masks(new, remapped, m.smets_mode)",
-           "MassAssignment._from_masks(new, remapped)",
+           "MassAssignment._from_masks(new, remapped, m.smets_mode, m.total)",
+           "MassAssignment._from_masks(new, remapped, False, m.total)",
            ("test_dynamic.py",)),
     Mutant("build_frame admits EMPTY as a singleton name", "lattice.py",
            '"(?!EMPTY\\Z)[A-Za-z]',
@@ -112,10 +112,18 @@ MUTANTS = (
            "fsum(values) for reduced, values in groups.items()",
            "values[0] for reduced, values in groups.items()",
            ("test_model.py", "test_rules.py")),
+    Mutant("library-built results are checked against 1, not their inputs' total", "bba.py",
+           "m._seal(frame, masses, smets_mode, total)",
+           "m._seal(frame, masses, smets_mode, 1.0)",
+           ("test_cli.py",)),
     Mutant("validate lets negatives down to -1e-3 through", "bba.py",
            "if value < 0:",
            "if value < -1e-3:",
            ("test_bba.py",)),
+    Mutant("lefevre_combine admits a negative weight", "rules.py",
+           "        if w < 0:\n",
+           "        if False:\n",
+           ("test_rules.py",)),
     Mutant("the FOLD_LIMIT check admits twice the limit", "rules.py",
            "if len(states) * len(rows) * bits > FOLD_LIMIT:",
            "if len(states) * len(rows) * bits > 2 * FOLD_LIMIT:",
@@ -229,6 +237,7 @@ def main() -> int:
         shutil.copytree(ROOT / PACKAGE, work / PACKAGE)
         shutil.copytree(ROOT / "tests", work / "tests")
         shutil.copy(ROOT / "pyproject.toml", work)
+        shutil.copy(ROOT / "README.md", work)  # a test runs its library example
         every = sorted({t for m in MUTANTS for t in m.tests})
         passed, secs = _pytest(work, every)
         if not passed:

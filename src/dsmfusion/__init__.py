@@ -31,12 +31,9 @@ from .lattice import (
     Frame,
     Proposition,
     build_frame,
-    conjoin,
-    disjoin,
     empty,
     enumerate_hpset,
     from_generators,
-    leq,
     singleton,
     to_expression,
     total_ignorance,

@@ -13,11 +13,13 @@ from .errors import (
     NotAnElement,
     NotPowerSetSupport,
 )
-from .lattice import (Frame, Proposition, _canonical_key, _proposition, _singletons_in, leq,
-                      total_ignorance)
+from .lattice import Frame, Proposition, _canonical_key, _proposition, _singletons_in, total_ignorance
 
 #: Absolute tolerance on the unit-sum check at validation time.  Internal
-#: sums are never renormalized.
+#: sums are never renormalized: a library-built result is checked against
+#: the total its inputs imply (a fold against the product of its sources'
+#: totals), so the sources' own deviations from one do not add up to a
+#: refusal.
 SUM_TOLERANCE = 1e-9
 
 
@@ -32,11 +34,11 @@ class MassAssignment:
     The masses are stored by atom bitset on the one frame, in canonical
     order (atom count, then bitset).  Library code that already holds
     masks builds instances through `_from_masks`, which runs the same
-    checks; `items()`, `keys()`, `focal` and `get()` are the Proposition
-    edge.
+    checks against the total its inputs imply; `items()`, `keys()`, `focal`
+    and `get()` are the Proposition edge.
     """
 
-    __slots__ = ("frame", "_masses", "smets_mode")
+    __slots__ = ("frame", "_masses", "smets_mode", "_expected_total")
 
     def __init__(
         self,
@@ -53,39 +55,46 @@ class MassAssignment:
             if prop.frame != frame:
                 raise FrameMismatch(f"mass key {prop!r} is not on frame {frame!r}")
             collected[prop.mask] = collected.get(prop.mask, 0.0) + float(value)
-        self._seal(frame, collected, smets_mode)
+        self._seal(frame, collected, smets_mode, 1.0)
 
     @classmethod
-    def _from_masks(cls, frame: Frame, masses: Mapping[int, float], smets_mode: bool = False):
-        """An assignment from masses keyed by atom bitsets of `frame`, validated."""
+    def _from_masks(cls, frame: Frame, masses: Mapping[int, float], smets_mode: bool = False,
+                    total: float = 1.0):
+        """An assignment from masses keyed by atom bitsets of `frame`, validated to sum to `total`."""
         m = object.__new__(cls)
-        m._seal(frame, masses, smets_mode)
+        m._seal(frame, masses, smets_mode, total)
         return m
 
-    def _seal(self, frame: Frame, masses: Mapping[int, float], smets_mode: bool) -> None:
+    def _seal(self, frame: Frame, masses: Mapping[int, float], smets_mode: bool, total: float) -> None:
         masks = sorted(masses, key=_canonical_key)
         values = map(masses.__getitem__, masks)  # one lookup per mask: a wide mask hashes slowly
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "_masses", {mask: v for mask, v in zip(masks, values) if v != 0.0})
         object.__setattr__(self, "smets_mode", bool(smets_mode))
+        object.__setattr__(self, "_expected_total", total)
         self.validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("MassAssignment is immutable")
 
     def validate(self) -> bool:
-        """Check the invariants, raising with the offending key on failure."""
+        """Check the invariants, raising with the offending key on failure.
+
+        The masses sum, within SUM_TOLERANCE, to one when built by the public
+        constructor, and to the total its inputs imply when built by the library.
+        """
+        expected = self._expected_total
         for mask, value in self._masses.items():
             if value < 0:
                 raise NegativeMass(f"m({_proposition(self.frame, mask)}) = {value!r} is negative")
         for value in self._masses.values():
             # nan compares false with everything, so the sum check below
-            # would pass it; a mass above one can overflow that sum
-            if not value <= 1.0 + SUM_TOLERANCE:
-                raise MassSumNotOne(value)
+            # would pass it; a mass above the total can overflow that sum
+            if not value <= expected + SUM_TOLERANCE:
+                raise MassSumNotOne(value, expected)
         total = fsum(self._masses.values())
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise MassSumNotOne(total)
+        if abs(total - expected) > SUM_TOLERANCE:
+            raise MassSumNotOne(total, expected)
         if not self.smets_mode and self._masses.get(0, 0.0) != 0.0:
             raise EmptySetMass(f"m(EMPTY) = {self._masses[0]!r} without smets_mode")
         return True
@@ -161,7 +170,7 @@ def _require_power_set_query(m: MassAssignment, a: Proposition) -> None:
 def bel(m: MassAssignment, a: Proposition) -> float:
     """Belief of a: total mass of focal sets below a (power-set support only)."""
     _require_power_set_query(m, a)
-    return fsum(v for p, v in m.focal if leq(p, a))
+    return fsum(v for p, v in m.focal if p <= a)
 
 
 def pl(m: MassAssignment, a: Proposition) -> float:

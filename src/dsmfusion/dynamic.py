@@ -29,7 +29,7 @@ from .errors import MissingName, RuleNotApplicable, ScenarioError
 from .exprparse import parse
 from .lattice import Frame, Proposition, _generators, _proposition, _up_mask, build_frame
 from .model import HybridModel, build_model, compress
-from .rules import HybridBreakdown, _classic_fold, _common_frame, _hybrid_breakdown
+from .rules import HybridBreakdown, _classic_fold, _common_frame, _hybrid_breakdown, _total
 
 
 def _embed_mask(old: Frame, new: Frame, mask: int) -> int:
@@ -57,7 +57,7 @@ def embed(m: MassAssignment, new: Frame) -> MassAssignment:
     union rather than becoming the new total ignorance.
     """
     remapped = {_embed_mask(m.frame, new, mask): v for mask, v in m._masses.items()}
-    return MassAssignment._from_masks(new, remapped, m.smets_mode)
+    return MassAssignment._from_masks(new, remapped, m.smets_mode, m.total)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,8 @@ def _session(stages: Iterable[Stage], rule: str, frame: Frame, tables: list, s1:
         if rule == "dsmh":
             yield _hybrid_result(stage.at, tables, model, s1)
         elif model.is_free:
-            yield SessionResult(stage.at, MassAssignment._from_masks(frame, s1, smets_mode), None)
+            yield SessionResult(
+                stage.at, MassAssignment._from_masks(frame, s1, smets_mode, _total(tables)), None)
         else:
             raise RuleNotApplicable("rule 'dsmc' ignores constraints; use 'dsmh'")
 

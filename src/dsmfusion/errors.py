@@ -54,8 +54,8 @@ class NegativeMass(DsmError):
 
 
 class MassSumNotOne(DsmError):
-    def __init__(self, actual: float):
-        super().__init__(f"masses sum to {actual!r}, expected 1")
+    def __init__(self, actual: float, expected: float = 1.0):
+        super().__init__(f"masses sum to {actual!r}, expected {1 if expected == 1.0 else expected!r}")
         self.actual = actual
 
 

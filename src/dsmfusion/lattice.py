@@ -89,7 +89,13 @@ LOAD_LIMIT = 2**27
 #: Entries kept by `_up_mask`, the up-closures of single atoms that generator
 #: walks read, keyed by frame size and digit bitset: every key of every frame
 #: up to n=12 at once (8178 keys); beyond that the size bounds memory, as an
-#: up-closure holds up to 2^n - 1 bits (32 KiB at FRAME_LIMIT).
+#: up-closure holds up to 2^n - 1 bits (32 KiB at FRAME_LIMIT), so the cache
+#: can hold up to 256 MiB at n=18.  Printing a result fills one entry per
+#: key: an n=18 `dsmc` of two sources of 64 distinct three-way meets each,
+#: inside every limit, peaked at 20 MB after parsing, 146 MB after the fold
+#: and 277 MB after `mass_lines`, with 3666 keys and as many cache entries
+#: (Python 3.11, 2-vCPU VM).  Uncached, `_up_mask` costs 2.7 us at n=12 and
+#: 49 us at n=18, against 0.22 us cached.
 GENERATOR_CACHE_SIZE = 8192
 
 _IDENT_RE = re.compile(r"(?!EMPTY\Z)[A-Za-z][A-Za-z0-9_]*\Z")
@@ -205,13 +211,6 @@ class Frame:
     def full_mask(self) -> int:
         return (1 << self.atom_count) - 1
 
-    def index(self, name: str) -> int:
-        """1-based position of a singleton name."""
-        try:
-            return self.names.index(name) + 1
-        except ValueError:
-            raise IndexOutOfRange(f"{name!r} is not a singleton of this frame") from None
-
     @cached_property
     def _terms(self) -> dict[int, str]:
         """The "&"-joined names of each digit bitset `to_expression` has printed on this frame."""
@@ -269,14 +268,6 @@ class Proposition:
         return self.mask == 0
 
     @property
-    def atom_count(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return _canonical_key(self.mask)
-
-    @property
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """Digit tuples of the minimal atoms, in atom order.
 
@@ -286,13 +277,17 @@ class Proposition:
         return tuple(map(_digit_tuple, _generators(self.frame.n, self.mask)))
 
     def __and__(self, other: "Proposition") -> "Proposition":
-        return conjoin(self, other)
+        _check_same_frame(self, other)
+        return _proposition(self.frame, self.mask & other.mask)
 
     def __or__(self, other: "Proposition") -> "Proposition":
-        return disjoin(self, other)
+        _check_same_frame(self, other)
+        return _proposition(self.frame, self.mask | other.mask)
 
     def __le__(self, other: "Proposition") -> bool:
-        return leq(self, other)
+        """Lattice order: self below other iff every atom of self is an atom of other."""
+        _check_same_frame(self, other)
+        return self.mask & ~other.mask == 0
 
     def __str__(self) -> str:
         return to_expression(self)
@@ -341,22 +336,6 @@ def singleton(frame: Frame, i: int) -> Proposition:
 def total_ignorance(frame: Frame) -> Proposition:
     """The union of all singletons (every atom)."""
     return _proposition(frame, frame.full_mask)
-
-
-def conjoin(p: Proposition, q: Proposition) -> Proposition:
-    _check_same_frame(p, q)
-    return _proposition(p.frame, p.mask & q.mask)
-
-
-def disjoin(p: Proposition, q: Proposition) -> Proposition:
-    _check_same_frame(p, q)
-    return _proposition(p.frame, p.mask | q.mask)
-
-
-def leq(p: Proposition, q: Proposition) -> bool:
-    """Lattice order: p below q iff every atom of p is an atom of q."""
-    _check_same_frame(p, q)
-    return p.mask & ~q.mask == 0
 
 
 def u_of(p: Proposition) -> Proposition:

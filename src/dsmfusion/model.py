@@ -56,12 +56,8 @@ class HybridModel:
         lattice element with those surviving atoms (the up-closure of their
         minimal parts), so EMPTY represents the merged-empty class.
         """
-        return _proposition(self.frame, _up_closure(self.frame.n, self.reduced_mask(p)))
-
-    def reduced_mask(self, p: Proposition) -> int:
-        """Surviving atoms of p; equal reduced masks mean model-equivalent."""
         self._check(p)
-        return p.mask & self.alive
+        return _proposition(self.frame, _up_closure(self.frame.n, p.mask & self.alive))
 
 
 def build_model(frame: Frame, constraints: Iterable[Proposition]) -> HybridModel:
@@ -202,4 +198,4 @@ def compress(model: HybridModel, m: MassAssignment) -> MassAssignment:
         prop = _proposition(model.frame, mask)
         raise MassOnEmptyClass(f"mass {masses[mask]!r} on {prop}, which is empty under the model")
     sums = {_up_closure(n, reduced): fsum(values) for reduced, values in groups.items()}
-    return MassAssignment._from_masks(model.frame, sums, smets_mode=m.smets_mode)
+    return MassAssignment._from_masks(model.frame, sums, m.smets_mode, m.total)

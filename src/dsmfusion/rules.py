@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum, isfinite
+from math import fsum, isfinite, prod
 from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
-from .bba import MassAssignment, is_power_set_element, require_power_set
+from .bba import SUM_TOLERANCE, MassAssignment, is_power_set_element, require_power_set
 from .errors import (
     CombinationTooLarge,
     FewerThanTwoSources,
@@ -73,6 +73,11 @@ def _common_frame(ms: Sequence[MassAssignment]) -> Frame:
 
 def _fsums(table: dict) -> dict:
     return dict(zip(table, map(fsum, table.values())))
+
+
+def _total(tables: Iterable[Mapping[int, float]]) -> float:
+    """The total a conjunctive fold of focal tables implies: the product of their totals."""
+    return prod(fsum(t.values()) for t in tables)
 
 
 def _check_step(states: dict, rows, bits: int) -> None:
@@ -109,8 +114,9 @@ def dsm_classic(ms: Sequence[MassAssignment]) -> MassAssignment:
     Iterates over focal sets only.  Commutative and associative.
     """
     frame = _common_frame(ms)
-    states = _classic_fold([m._masses for m in ms], frame.full_mask)
-    return MassAssignment._from_masks(frame, states, smets_mode=any(m.smets_mode for m in ms))
+    tables = [m._masses for m in ms]
+    states = _classic_fold(tables, frame.full_mask)
+    return MassAssignment._from_masks(frame, states, any(m.smets_mode for m in ms), _total(tables))
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,8 @@ def _hybrid_breakdown(tables: Sequence[Mapping[int, float]], model: HybridModel,
                       s1: dict) -> HybridBreakdown:
     """The hybrid rule on focal tables keyed by atom bitset of the model's frame, given their S1."""
     parts = _hybrid_tables(tables, model, s1)
-    return HybridBreakdown(model, MassAssignment._from_masks(model.frame, _gate(model, parts)), parts)
+    result = MassAssignment._from_masks(model.frame, _gate(model, parts), total=_total(tables))
+    return HybridBreakdown(model, result, parts)
 
 
 def dsm_hybrid(ms: Sequence[MassAssignment], model: HybridModel) -> HybridBreakdown:
@@ -243,18 +250,20 @@ def lefevre_combine(
     summing to one; each A receives w(A) times the conflict, and w(EMPTY)
     keeps that share on EMPTY (open-world).  A key that is not a Proposition
     raises NotAnElement, one that is not a union of singletons
-    NotPowerSetSupport, and a weight that is not a finite real number
-    WeightsNotNormalized.
+    NotPowerSetSupport, and a weight that is not a finite non-negative real
+    number WeightsNotNormalized.
     """
     for prop, w in weights.items():
         if not isinstance(prop, Proposition):
             raise NotAnElement(f"weight key {prop!r} is not a Proposition")
         if not (isinstance(w, Real) and isfinite(w)):
             raise WeightsNotNormalized(f"weight {w!r} is not a finite number")
+        if w < 0:
+            raise WeightsNotNormalized(f"negative weight {w!r}")
         if not is_power_set_element(prop):
             raise NotPowerSetSupport(f"weight key {prop} is not a union of singletons")
     total_w = fsum(weights.values())
-    if abs(total_w - 1.0) > 1e-9:
+    if abs(total_w - 1.0) > SUM_TOLERANCE:
         raise WeightsNotNormalized(f"weights sum to {total_w!r}, expected 1")
     frame, out, conflict = _conjunctive_power_set([m1, m2])
     empty_share = 0.0
@@ -267,7 +276,7 @@ def lefevre_combine(
             out[prop.mask] = out.get(prop.mask, 0.0) + w * conflict
     if empty_share:
         out[0] = empty_share
-    return MassAssignment._from_masks(frame, out, smets_mode=empty_share > 0.0)
+    return MassAssignment._from_masks(frame, out, empty_share > 0.0, m1.total * m2.total)
 
 
 def yager(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
@@ -309,7 +318,7 @@ class MixtureSpec:
             if prob < 0:
                 raise ProbabilitiesNotNormalized(f"negative probability {prob!r}")
         total = fsum(p for _, p in self.entries)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SUM_TOLERANCE:
             raise ProbabilitiesNotNormalized(f"probabilities sum to {total!r}, expected 1")
 
 
@@ -330,4 +339,4 @@ def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAss
     for model, prob in spec.entries:
         for mask, value in _gate(model, _hybrid_tables(tables, model, s1)).items():
             sums.setdefault(mask, []).append(prob * value)
-    return MassAssignment._from_masks(frame, _fsums(sums))
+    return MassAssignment._from_masks(frame, _fsums(sums), total=_total(tables))

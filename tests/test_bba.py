@@ -26,6 +26,7 @@ from dsmfusion.errors import (
     NotAnElement,
     NotPowerSetSupport,
 )
+from dsmfusion.lattice import _canonical_key
 from conftest import SOURCE_A, SOURCE_B, assignment
 
 
@@ -176,7 +177,8 @@ class TestMaskStore:
 
     def test_entries_in_canonical_order(self, frame3):
         m = assignment(frame3, {"t1|t2|t3": 0.2, "t1": 0.3, "t1&t2": 0.5})
-        assert [p.sort_key for p in m.keys()] == sorted(p.sort_key for p in m.keys())
+        keys = [_canonical_key(p.mask) for p in m.keys()]
+        assert keys == sorted(keys)
         assert m.focal == m.items()
         assert [v for _, v in m.items()] == [0.5, 0.3, 0.2]
 

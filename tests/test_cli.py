@@ -21,6 +21,7 @@ from dsmfusion import cli, dynamic
 from dsmfusion import model as dsm_model
 from dsmfusion.cli import SWEEP_LIMIT, main, sweep_rows
 from dsmfusion.errors import FullContradiction, ScenarioError
+from dsmfusion.lattice import _canonical_key
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -60,6 +61,20 @@ SCENARIO_AB = {
     "sources": [
         {"name": "x", "masses": [{"prop": "a", "mass": "0.6"}, {"prop": "b", "mass": "0.4"}]},
         {"name": "y", "masses": [{"prop": "a", "mass": "0.7"}, {"prop": "b", "mass": "0.3"}]},
+    ],
+}
+
+SOURCES_SHORT_OF_ONE = {
+    "frame": ["t1", "t2", "t3"],
+    "sources": [{"name": f"s{i}", "masses": [{"prop": t, "mass": "0.3333333333"} for t in ("t1", "t2", "t3")]}
+                for i in range(12)],
+}
+
+SOURCES_PAST_ONE = {
+    "frame": ["t1", "t2", "t3"],
+    "sources": [
+        {"name": "x", "masses": [{"prop": "t1", "mass": "0.6000000009"}, {"prop": "t2", "mass": "0.4"}]},
+        {"name": "y", "masses": [{"prop": "t2", "mass": "0.5000000009"}, {"prop": "t1|t3", "mass": "0.5"}]},
     ],
 }
 
@@ -367,6 +382,18 @@ class TestCombine:
         tail = out.split("== stage constrain ==")[1]
         assert "0.653000" in tail and "0.147000" in tail
 
+    @pytest.mark.parametrize("doc,rule", [
+        # each source sums to 0.9999999999, inside SUM_TOLERANCE; twelve of them multiply
+        # to 0.9999999988, which a check against 1 refused
+        *(pytest.param(SOURCES_SHORT_OF_ONE, rule, id=f"short-{rule}") for rule in ("dsmc", "dsmh")),
+        # each source sums to 1.0000000009; the unnormalized rules' results sum to 1.0000000018
+        *(pytest.param(SOURCES_PAST_ONE, rule, id=f"past-{rule}")
+          for rule in ("dsmh", "yager", "smets", "dubois-prade", "dempster")),
+    ])
+    def test_results_are_checked_against_their_sources_totals(self, scenario_file, capsys, doc, rule):
+        assert main(["combine", "--scenario", scenario_file(doc), "--rule", rule]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("rule", ["dempster", "yager", "smets", "dubois-prade"])
     def test_dst_rules_refuse_an_empty_singleton(self, scenario_file, capsys, rule):
         free = scenario_file(SCENARIO_AB, "free.json")
@@ -538,7 +565,7 @@ class TestCombine:
         model = build_model(frame, [parse(frame, c) for c in doc["constraints"]])
         bd = dsm_hybrid(sources, model)
         touched = sorted(set(bd.s1) | set(bd.s2) | set(bd.s3) | set(bd.result.keys()),
-                         key=lambda p: p.sort_key)
+                         key=lambda p: _canonical_key(p.mask))
         assert set(bd.s3) - set(bd.s1)  # S3 books on joins that S1 never touched
         totals = {to_expression(p): f"{v:.6f}" for p, v in compress(model, bd.result).items()}
 

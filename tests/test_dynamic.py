@@ -70,7 +70,7 @@ class TestEmbed:
 
 def reference_embedding(p, new):
     """p on `new`: each generator's digits renamed to the same singletons' positions there."""
-    return from_generators(new, [[new.index(p.frame.names[d - 1]) for d in g] for g in p.generators])
+    return from_generators(new, [[new.names.index(p.frame.names[d - 1]) + 1 for d in g] for g in p.generators])
 
 
 def _up_closed_on(frame):

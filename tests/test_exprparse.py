@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from dsmfusion import (
     build_frame,
-    conjoin,
-    disjoin,
     empty,
     enumerate_hpset,
     parse,
@@ -27,8 +25,8 @@ class TestParse:
 
     def test_precedence(self, frame3):
         t1, t2, t3 = (singleton(frame3, i) for i in (1, 2, 3))
-        assert parse(frame3, "t1&t2|t3") == disjoin(conjoin(t1, t2), t3)
-        assert parse(frame3, "t1|t2&t3") == disjoin(t1, conjoin(t2, t3))
+        assert parse(frame3, "t1&t2|t3") == (t1 & t2) | t3
+        assert parse(frame3, "t1|t2&t3") == t1 | (t2 & t3)
 
     def test_whitespace(self, frame3):
         assert parse(frame3, "  ( t1 & t2 )\t| t3 ") == parse(frame3, "(t1&t2)|t3")
@@ -141,7 +139,8 @@ def evaluate(frame, tree):
     if isinstance(tree, int):
         return singleton(frame, tree)
     op, left, right = tree
-    return (conjoin if op == "&" else disjoin)(evaluate(frame, left), evaluate(frame, right))
+    left, right = evaluate(frame, left), evaluate(frame, right)
+    return left & right if op == "&" else left | right
 
 
 def height(tree):

@@ -1,5 +1,7 @@
 """Lattice construction, enumeration, anti-absorption and algebraic laws."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,12 +10,9 @@ from dsmfusion import (
     HybridModel,
     Proposition,
     build_frame,
-    conjoin,
-    disjoin,
     empty,
     enumerate_hpset,
     from_generators,
-    leq,
     singleton,
     to_expression,
     total_ignorance,
@@ -29,7 +28,7 @@ from dsmfusion.errors import (
     NotAnElement,
 )
 from dsmfusion.lattice import (
-    GENERATOR_CACHE_SIZE, _atom_bits, _digit_masks, _digit_tuple, _generators, _up_mask)
+    GENERATOR_CACHE_SIZE, _atom_bits, _canonical_key, _digit_masks, _digit_tuple, _generators, _up_mask)
 from conftest import atom_digits, atom_labels, label
 
 
@@ -144,40 +143,40 @@ class TestBasicOps:
 
     def test_conjoin(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
-        assert atom_labels(3, conjoin(t1, t2).mask) == {"12", "123"}
+        assert atom_labels(3, (t1 & t2).mask) == {"12", "123"}
 
     def test_conjoin_idempotent_annihilator(self, frame3):
         t1 = singleton(frame3, 1)
-        assert conjoin(t1, t1) == t1
-        assert conjoin(t1, empty(frame3)) == empty(frame3)
+        assert t1 & t1 == t1
+        assert t1 & empty(frame3) == empty(frame3)
 
     def test_disjoin(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
-        assert atom_labels(3, disjoin(t1, t2).mask) == {"1", "2", "12", "13", "23", "123"}
+        assert atom_labels(3, (t1 | t2).mask) == {"1", "2", "12", "13", "23", "123"}
 
     def test_disjoin_identity_absorption(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
-        assert disjoin(t1, empty(frame3)) == t1
-        assert disjoin(t1, conjoin(t1, t2)) == t1
+        assert t1 | empty(frame3) == t1
+        assert t1 | (t1 & t2) == t1
 
     def test_leq(self, frame3):
         t1, t2, t3 = (singleton(frame3, i) for i in (1, 2, 3))
-        assert leq(conjoin(conjoin(t1, t2), t3), conjoin(t1, t2))
-        assert leq(empty(frame3), t1)
+        assert t1 & t2 & t3 <= t1 & t2
+        assert empty(frame3) <= t1
         f2 = build_frame(["t1", "t2"])
         a, b = singleton(f2, 1), singleton(f2, 2)
-        assert not leq(a, b)
+        assert not a <= b
 
     def test_frame_mismatch(self, frame3, frame2):
         with pytest.raises(FrameMismatch):
-            conjoin(singleton(frame3, 1), singleton(frame2, 1))
+            singleton(frame3, 1) & singleton(frame2, 1)
 
     def test_total_ignorance(self, frame3):
-        assert total_ignorance(frame3).atom_count == 7
+        assert total_ignorance(frame3).mask.bit_count() == 7
         f1 = build_frame(["x"])
         assert total_ignorance(f1) == singleton(f1, 1)
         f2 = build_frame(["a", "b"])
-        assert total_ignorance(f2) == disjoin(singleton(f2, 1), singleton(f2, 2))
+        assert total_ignorance(f2) == singleton(f2, 1) | singleton(f2, 2)
 
 
 class TestEnumeration:
@@ -201,7 +200,7 @@ class TestEnumeration:
         hp = enumerate_hpset(frame3)
         assert len(set(hp)) == len(hp)
         assert hp == enumerate_hpset(frame3)
-        keys = [p.sort_key for p in hp]
+        keys = [_canonical_key(p.mask) for p in hp]
         assert keys == sorted(keys)
 
     def test_too_large(self):
@@ -242,8 +241,8 @@ class TestAntiAbsorption:
 
     def test_u_meet_join_agree(self, frame3):
         t1, t2 = singleton(frame3, 1), singleton(frame3, 2)
-        both = disjoin(t1, t2)
-        assert u_of(conjoin(t1, t2)) == both
+        both = t1 | t2
+        assert u_of(t1 & t2) == both
         assert u_of(both) == both
 
     def test_u_of_empty(self, frame3):
@@ -258,14 +257,14 @@ class TestAntiAbsorption:
         x = from_generators(frame3, [(1,)])
         assert atom_labels(3, x.mask) == {"1", "12", "13", "123"}
         # adding 23 gives atoms {1,12,13,23,123}: minimal parts {1},{23}
-        y = disjoin(x, from_generators(frame3, [(2, 3)]))
+        y = x | from_generators(frame3, [(2, 3)])
         assert u_of(y) == total_ignorance(frame3)
 
     def test_u_idempotent_extensive_enumerated(self, frame3):
         for prop in enumerate_hpset(frame3):
             u = u_of(prop)
             assert u_of(u) == u
-            assert leq(prop, u)
+            assert prop <= u
 
     def test_minimal_parts_reconstruct(self, frame3):
         for prop in enumerate_hpset(frame3):
@@ -284,7 +283,7 @@ class TestExpressions:
 
     def test_single_generator(self, frame3):
         assert to_expression(singleton(frame3, 1)) == "t1"
-        assert to_expression(conjoin(singleton(frame3, 1), singleton(frame3, 2))) == "t1&t2"
+        assert to_expression(singleton(frame3, 1) & singleton(frame3, 2)) == "t1&t2"
 
     def test_empty(self, frame3):
         assert to_expression(empty(frame3)) == "EMPTY"
@@ -308,13 +307,13 @@ def test_lattice_laws(data, n):
     p = data.draw(props)
     q = data.draw(props)
     r = data.draw(props)
-    assert conjoin(p, q) == conjoin(q, p)
-    assert disjoin(p, q) == disjoin(q, p)
-    assert conjoin(conjoin(p, q), r) == conjoin(p, conjoin(q, r))
-    assert disjoin(disjoin(p, q), r) == disjoin(p, disjoin(q, r))
-    assert disjoin(p, conjoin(p, q)) == p
-    assert conjoin(p, disjoin(p, q)) == p
-    assert conjoin(p, disjoin(q, r)) == disjoin(conjoin(p, q), conjoin(p, r))
+    assert p & q == q & p
+    assert p | q == q | p
+    assert (p & q) & r == p & (q & r)
+    assert (p | q) | r == p | (q | r)
+    assert p | (p & q) == p
+    assert p & (p | q) == p
+    assert p & (q | r) == (p & q) | (p & r)
 
 
 @settings(max_examples=150)
@@ -326,7 +325,7 @@ def test_canonical_uniqueness_and_u_props(data, n):
     assert (p == q) == (p.mask == q.mask)
     u = u_of(p)
     assert u_of(u) == u
-    assert leq(p, u)
+    assert p <= u
 
 
 def _up_closed(frame):
@@ -447,3 +446,14 @@ def test_checked_construction_round_trips(data, n):
         return
     assert from_generators(frame, p.generators) == p
     assert from_generators(frame, p.generators).mask == mask
+
+
+def test_readme_library_example():
+    """The README's python block runs, and the two outputs it states hold."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    p, frame = scope["p"], scope["frame"]
+    assert p.generators == ((3,), (1, 2))
+    assert from_generators(frame, p.generators) == p

@@ -25,7 +25,6 @@ from dsmfusion import (
     enumerate_hpset,
     from_generators,
     lefevre_combine,
-    leq,
     parse,
     run_session,
     shafer_model,
@@ -42,6 +41,7 @@ from dsmfusion.errors import (
     CombinationTooLarge,
     FewerThanTwoSources,
     FullContradiction,
+    MassSumNotOne,
     NotAnElement,
     NotPowerSetSupport,
     ProbabilitiesNotNormalized,
@@ -213,7 +213,7 @@ class TestClassicRule:
             combined = dsm_classic(ms)
             for a in enumerate_hpset(frame):
                 def q(m):
-                    return fsum(v for b, v in m.items() if leq(a, b))
+                    return fsum(v for b, v in m.items() if a <= b)
 
                 assert q(combined) == pytest.approx(prod(q(m) for m in ms), abs=1e-12), (k, a)
 
@@ -475,6 +475,13 @@ class TestLefevreFamily:
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         with pytest.raises(WeightsNotNormalized):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): bad, parse(frame2, "t2"): 1.0})
+
+    def test_negative_weight(self, frame2):
+        # summing to one, these weights would give t1 1.5 times the conflict and
+        # take half of it from t2: {t1: 0.88, t2: 0.12}
+        m1 = assignment(frame2, {"t1": 0.4, "t2": 0.6})
+        with pytest.raises(WeightsNotNormalized, match="negative"):
+            lefevre_combine(m1, m1, {parse(frame2, "t1"): 1.5, parse(frame2, "t2"): -0.5})
 
     @pytest.mark.parametrize("key", ["t1", None])
     def test_weight_key_not_a_proposition(self, frame2, key):
@@ -790,6 +797,22 @@ def test_s3_last_step_is_bounded(frame3, monkeypatch):
     with pytest.raises(CombinationTooLarge, match="1 states x 4 focal sets x 14 bits"):
         dsm_hybrid(ms, shafer_model(frame3))
     assert dsm_hybrid(ms, build_model(frame3, [])).result.total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_results_are_checked_against_their_sources_total(frame3, monkeypatch):
+    """Results are checked against their sources' total: deviations inside it pass, a 1e-8 leak does not."""
+    short = assignment(frame3, {"t1": 0.3333333333, "t2": 0.3333333333, "t3": 0.3333333333})
+    assert dsm_classic([short] * 12).validate()  # 0.9999999988, 1.2e-9 short of one
+    gate = rules._gate
+
+    def leaky(model, tables):
+        sums = gate(model, tables)
+        sums[next(iter(sums))] += 1e-8
+        return sums
+
+    monkeypatch.setattr(rules, "_gate", leaky)
+    with pytest.raises(MassSumNotOne):
+        dsm_hybrid([assignment(frame3, SOURCE_A), assignment(frame3, SOURCE_B)], model_for(frame3, "t1&t2"))
 
 
 def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
