@@ -120,10 +120,18 @@ MUTANTS = (
            "if value < 0:",
            "if value < -1e-3:",
            ("test_bba.py",)),
-    Mutant("lefevre_combine admits a negative weight", "rules.py",
+    Mutant("the weight check of lefevre_combine and MixtureSpec admits a negative value", "rules.py",
            "        if w < 0:\n",
            "        if False:\n",
            ("test_rules.py",)),
+    Mutant("the weight check reads True as 1", "rules.py",
+           "if isinstance(w, bool) or not (",
+           "if not (",
+           ("test_rules.py",)),
+    Mutant("build_frame reads a string as its characters", "lattice.py",
+           "    if isinstance(names, str):\n",
+           "    if False:\n",
+           ("test_lattice.py",)),
     Mutant("the FOLD_LIMIT check admits twice the limit", "rules.py",
            "if len(states) * len(rows) * bits > FOLD_LIMIT:",
            "if len(states) * len(rows) * bits > 2 * FOLD_LIMIT:",

@@ -222,6 +222,8 @@ class Frame:
 
 def build_frame(names: Iterable[str]) -> Frame:
     """Validate singleton names (not "EMPTY") and build a Frame of at most FRAME_LIMIT singletons."""
+    if isinstance(names, str):
+        raise InvalidIdentifier(f"a frame takes a sequence of names, not the string {names!r}")
     names = tuple(names)
     if not names:
         raise EmptyFrame("a frame needs at least one singleton name")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import fsum, isfinite, prod
 from numbers import Real
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .bba import SUM_TOLERANCE, MassAssignment, is_power_set_element, require_power_set
 from .errors import (
@@ -239,6 +239,18 @@ def dempster(ms: Sequence[MassAssignment]) -> tuple[MassAssignment, float]:
     return MassAssignment._from_masks(frame, normalized), 1.0 - surviving
 
 
+def _check_distribution(values: Collection, error: type[Exception], noun: str, nouns: str) -> None:
+    """Refuse values that are not finite non-negative reals (booleans included) or do not sum to 1."""
+    for w in values:
+        if isinstance(w, bool) or not (isinstance(w, Real) and isfinite(w)):
+            raise error(f"{noun} {w!r} is not a finite number")
+        if w < 0:
+            raise error(f"negative {noun} {w!r}")
+    total = fsum(values)
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise error(f"{nouns} sum to {total!r}, expected 1")
+
+
 def lefevre_combine(
     m1: MassAssignment,
     m2: MassAssignment,
@@ -253,18 +265,12 @@ def lefevre_combine(
     NotPowerSetSupport, and a weight that is not a finite non-negative real
     number WeightsNotNormalized.
     """
-    for prop, w in weights.items():
+    for prop in weights:
         if not isinstance(prop, Proposition):
             raise NotAnElement(f"weight key {prop!r} is not a Proposition")
-        if not (isinstance(w, Real) and isfinite(w)):
-            raise WeightsNotNormalized(f"weight {w!r} is not a finite number")
-        if w < 0:
-            raise WeightsNotNormalized(f"negative weight {w!r}")
         if not is_power_set_element(prop):
             raise NotPowerSetSupport(f"weight key {prop} is not a union of singletons")
-    total_w = fsum(weights.values())
-    if abs(total_w - 1.0) > SUM_TOLERANCE:
-        raise WeightsNotNormalized(f"weights sum to {total_w!r}, expected 1")
+    _check_distribution(weights.values(), WeightsNotNormalized, "weight", "weights")
     frame, out, conflict = _conjunctive_power_set([m1, m2])
     empty_share = 0.0
     for prop, w in weights.items():
@@ -310,16 +316,10 @@ class MixtureSpec:
         if not self.entries:
             raise ProbabilitiesNotNormalized("mixture needs at least one entry")
         frame = self.entries[0][0].frame
-        for model, prob in self.entries:
-            if model.frame != frame:
-                raise FrameMismatch("mixture models live on different frames")
-            if not isfinite(prob):
-                raise ProbabilitiesNotNormalized(f"probability {prob!r} is not a finite number")
-            if prob < 0:
-                raise ProbabilitiesNotNormalized(f"negative probability {prob!r}")
-        total = fsum(p for _, p in self.entries)
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ProbabilitiesNotNormalized(f"probabilities sum to {total!r}, expected 1")
+        if any(model.frame != frame for model, _ in self.entries):
+            raise FrameMismatch("mixture models live on different frames")
+        _check_distribution([p for _, p in self.entries], ProbabilitiesNotNormalized,
+                            "probability", "probabilities")
 
 
 def bayesian_mixture(ms: Sequence[MassAssignment], spec: MixtureSpec) -> MassAssignment:

@@ -1,4 +1,5 @@
 import random
+from math import fsum
 
 import pytest
 
@@ -62,6 +63,20 @@ def random_bba(rng: random.Random, frame, max_focal=4):
     raw = [rng.random() + 0.05 for _ in props]
     scale = 1.0 / sum(raw)
     return MassAssignment(frame, {q: w * scale for q, w in zip(props, raw)})
+
+
+def assert_mass_accounting(bd):
+    """A hybrid breakdown's two mass-accounting identities, within 1e-12.
+
+    Conflict, the S1 mass on model-empty keys, equals S2's total plus S3's
+    mass on surviving keys; S3's mass on model-empty keys equals S2's total.
+    """
+    def mass(table, empty):
+        return fsum(v for q, v in table.items() if bd.model.is_empty(q) is empty)
+
+    s2 = fsum(bd.s2.values())
+    assert abs(mass(bd.s1, True) - (s2 + mass(bd.s3, False))) <= 1e-12
+    assert abs(mass(bd.s3, True) - s2) <= 1e-12
 
 
 # Fixed two-source tables on n=3 used across rule tests (reference inputs).

@@ -1,6 +1,6 @@
 """Run a command; fail unless it exits as expected within a peak-RSS bound.
 
-Usage: python3 .github/peak_rss.py EXPECTED_EXIT BOUND_MB CMD...
+Usage: python3 tests/peak_rss.py EXPECTED_EXIT BOUND_MB CMD...
 
 The peak is RUSAGE_CHILDREN's maxrss: the largest resident set among the
 waited-for descendants, so `timeout 60 CMD` reports CMD's own peak.

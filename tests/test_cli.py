@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import warnings
-from itertools import combinations
 from math import fsum, isfinite
 from unittest import mock
 
@@ -22,6 +21,8 @@ from dsmfusion import model as dsm_model
 from dsmfusion.cli import SWEEP_LIMIT, main, sweep_rows
 from dsmfusion.errors import FullContradiction, ScenarioError
 from dsmfusion.lattice import _canonical_key
+from conftest import SOURCE_A, SOURCE_B
+from test_bounds import NAMES, past_fold_limit, source
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -38,20 +39,9 @@ def run_cli(*argv, hash_seed=None):
     )
 
 
-SCENARIO_REF = {
-    "frame": ["t1", "t2", "t3"],
-    "sources": [
-        {"name": "s1", "masses": [
-            {"prop": "t1&t3", "mass": "0.10"}, {"prop": "t3", "mass": "0.30"},
-            {"prop": "t1&t2", "mass": "0.10"}, {"prop": "t2", "mass": "0.20"},
-            {"prop": "t1", "mass": "0.10"}, {"prop": "t1|t3", "mass": "0.10"},
-            {"prop": "t1|t2", "mass": "0.10"}]},
-        {"name": "s2", "masses": [
-            {"prop": "t2&t3", "mass": "0.20"}, {"prop": "t3", "mass": "0.10"},
-            {"prop": "t1&t2", "mass": "0.20"}, {"prop": "t2", "mass": "0.10"},
-            {"prop": "t1", "mass": "0.20"}, {"prop": "t1|t3", "mass": "0.20"}]},
-    ],
-}
+SCENARIO_REF = {"frame": ["t1", "t2", "t3"],
+                "sources": [source(name, *((p, f"{m:.2f}") for p, m in table.items()))
+                            for name, table in (("s1", SOURCE_A), ("s2", SOURCE_B))]}
 
 
 # Two valid sources on one-letter names, so a string where a list belongs
@@ -85,19 +75,6 @@ def with_extra_mass(text):
     return doc
 
 
-def past_fold_limit():
-    """Two sources on 18 singletons, 65 and 64 focal sets.
-
-    The classic fold's second step would take 65 meets of 2^18 - 1 atom
-    bits through 64 focal sets: 1.09e9 bits of work, just past FOLD_LIMIT.
-    """
-    names = [f"t{i}" for i in range(1, 19)]
-    props = names + [f"{a}&{b}" for a, b in combinations(names, 2)]
-    a = [{"prop": p, "mass": "0.015"} for p in props[1:65]] + [{"prop": props[0], "mass": "0.04"}]
-    b = [{"prop": p, "mass": "0.015625"} for p in props[:64]]
-    return {"frame": names, "sources": [{"name": "a", "masses": a}, {"name": "b", "masses": b}]}
-
-
 FIT_ROWS = LOAD_LIMIT // (2**18 - 1)  # 512 mass rows at n=18
 
 
@@ -106,14 +83,12 @@ def load_rows(rows):
 
     They are split across its two sources and an event's added source.
     """
-    names = [f"t{i}" for i in range(1, 19)]
-
-    def source(k):
+    def rows_of(k):
         return {"name": "s", "masses": [{"prop": "t1", "mass": "1"}] * k}
 
     third = rows // 3
-    return {"frame": names, "sources": [source(third), source(third)],
-            "events": [{"at": "t1"}, {"at": "t2", "add_source": source(rows - 2 * third)}]}
+    return {"frame": NAMES, "sources": [rows_of(third), rows_of(third)],
+            "events": [{"at": "t1"}, {"at": "t2", "add_source": rows_of(rows - 2 * third)}]}
 
 
 def with_first_masses(*rows):

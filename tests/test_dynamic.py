@@ -26,7 +26,7 @@ from dsmfusion import (
 )
 from dsmfusion import dynamic
 from dsmfusion.errors import FewerThanTwoSources, MissingName, RuleNotApplicable, ScenarioError
-from conftest import assignment, atom_labels, random_bba
+from conftest import assert_mass_accounting, assignment, atom_labels, random_bba
 
 
 @pytest.fixture
@@ -320,6 +320,7 @@ def test_session_matches_factor_list_oracle(data):
         for rec, want in zip(history, breakdowns):
             for table in ("s1", "s2", "s3", "result"):
                 assert_same_table(getattr(rec.breakdown, table), getattr(want, table))
+            assert_mass_accounting(rec.breakdown)
 
 
 def _spy(monkeypatch, name):

@@ -82,6 +82,12 @@ class TestFrame:
         with pytest.raises(InvalidIdentifier):
             build_frame(["ok", bad])
 
+    @pytest.mark.parametrize("names", ["ab", "t1"])
+    def test_string_is_not_a_sequence_of_names(self, names):
+        # "ab" was read as the frame (a, b), and "t1" refused as the name '1'
+        with pytest.raises(InvalidIdentifier, match=f"not the string {names!r}"):
+            build_frame(names)
+
     def test_empty_is_no_singleton_name(self):
         # "EMPTY" names the empty set in mass keys and printed tables
         with pytest.raises(InvalidIdentifier):

@@ -47,7 +47,7 @@ from dsmfusion.errors import (
     ProbabilitiesNotNormalized,
     WeightsNotNormalized,
 )
-from conftest import SOURCE_A, SOURCE_B, assignment, random_bba, random_proposition
+from conftest import SOURCE_A, SOURCE_B, assert_mass_accounting, assignment, random_bba, random_proposition
 from test_dynamic import assert_same_table, oracle_session
 
 
@@ -483,6 +483,12 @@ class TestLefevreFamily:
         with pytest.raises(WeightsNotNormalized, match="negative"):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): 1.5, parse(frame2, "t2"): -0.5})
 
+    def test_boolean_weight(self, frame2):
+        # True counts as 1 in the sum check, so this read as Yager's rule
+        m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
+        with pytest.raises(WeightsNotNormalized, match="weight True is not a finite number"):
+            lefevre_combine(m1, m1, {total_ignorance(frame2): True})
+
     @pytest.mark.parametrize("key", ["t1", None])
     def test_weight_key_not_a_proposition(self, frame2, key):
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
@@ -581,11 +587,17 @@ class TestMixture:
                 want = fsum(prob * part[p] for prob, part in parts)
                 assert mix[p] == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", [*NON_FINITE, "1.0", None])
     def test_non_finite_probability(self, frame3, bad):
         model = build_model(frame3, [])
         with pytest.raises(ProbabilitiesNotNormalized):
             MixtureSpec(((model, bad), (model, 1.0)))
+
+    @pytest.mark.parametrize("bad", ["1.0", None, True])
+    def test_lone_probability_not_a_number(self, frame3, bad):
+        # a string or None raised TypeError, and True counted as 1
+        with pytest.raises(ProbabilitiesNotNormalized, match=f"probability {bad!r} is not a finite number"):
+            MixtureSpec(((build_model(frame3, []), bad),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -607,6 +619,28 @@ def test_hybrid_random_invariants(seed, n, k):
         oracle = oracle_hybrid(ms, model)
         for p in set(bd.result.keys()) | set(oracle):
             assert bd.result[p] == pytest.approx(oracle.get(p, 0.0), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(2, 4), k=st.integers(2, 3), open_world=st.booleans())
+def test_mass_accounting_identities(seed, n, k, open_world):
+    rng = random.Random(seed)
+    frame = build_frame([f"t{i}" for i in range(1, n + 1)])
+    ms = [random_bba(rng, frame, max_focal=3) for _ in range(k)]
+    if open_world:  # part of each source's mass moves onto EMPTY
+        shares = [rng.random() * 0.5 for _ in ms]
+        ms = [MassAssignment(frame, [(empty(frame), e), *((q, v * (1 - e)) for q, v in m.items())],
+                             smets_mode=True) for m, e in zip(ms, shares)]
+    constraints, dead = [], 0
+    for _ in range(rng.randint(0, 2)):
+        c = random_proposition(rng, frame)
+        if dead | c.mask != frame.full_mask:
+            constraints.append(c)
+            dead |= c.mask
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a model left with one atom warns
+        model = build_model(frame, constraints)
+    assert_mass_accounting(dsm_hybrid(ms, model))
 
 
 def random_power_set_bba(rng, frame, max_focal=4):
