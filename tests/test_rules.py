@@ -470,11 +470,12 @@ class TestLefevreFamily:
         with pytest.raises(WeightsNotNormalized):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): 0.5})
 
-    @pytest.mark.parametrize("bad", [*NON_FINITE, "1", None])
+    @pytest.mark.parametrize("bad", [*NON_FINITE, "1", None, True])
     def test_non_finite_weight(self, frame2, bad):
+        # True counts as 1 in the sum, so it would read as Yager's rule
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
-        with pytest.raises(WeightsNotNormalized):
-            lefevre_combine(m1, m1, {parse(frame2, "t1"): bad, parse(frame2, "t2"): 1.0})
+        with pytest.raises(WeightsNotNormalized, match="is not a finite number"):
+            lefevre_combine(m1, m1, {total_ignorance(frame2): bad})
 
     def test_negative_weight(self, frame2):
         # summing to one, these weights would give t1 1.5 times the conflict and
@@ -482,12 +483,6 @@ class TestLefevreFamily:
         m1 = assignment(frame2, {"t1": 0.4, "t2": 0.6})
         with pytest.raises(WeightsNotNormalized, match="negative"):
             lefevre_combine(m1, m1, {parse(frame2, "t1"): 1.5, parse(frame2, "t2"): -0.5})
-
-    def test_boolean_weight(self, frame2):
-        # True counts as 1 in the sum check, so this read as Yager's rule
-        m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
-        with pytest.raises(WeightsNotNormalized, match="weight True is not a finite number"):
-            lefevre_combine(m1, m1, {total_ignorance(frame2): True})
 
     @pytest.mark.parametrize("key", ["t1", None])
     def test_weight_key_not_a_proposition(self, frame2, key):
@@ -587,16 +582,10 @@ class TestMixture:
                 want = fsum(prob * part[p] for prob, part in parts)
                 assert mix[p] == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [*NON_FINITE, "1.0", None])
+    @pytest.mark.parametrize("bad", [*NON_FINITE, "1.0", None, True])
     def test_non_finite_probability(self, frame3, bad):
-        model = build_model(frame3, [])
-        with pytest.raises(ProbabilitiesNotNormalized):
-            MixtureSpec(((model, bad), (model, 1.0)))
-
-    @pytest.mark.parametrize("bad", ["1.0", None, True])
-    def test_lone_probability_not_a_number(self, frame3, bad):
         # a string or None raised TypeError, and True counted as 1
-        with pytest.raises(ProbabilitiesNotNormalized, match=f"probability {bad!r} is not a finite number"):
+        with pytest.raises(ProbabilitiesNotNormalized, match="is not a finite number"):
             MixtureSpec(((build_model(frame3, []), bad),))
 
 
