@@ -132,6 +132,22 @@ MUTANTS = (
            "    if isinstance(names, str):\n",
            "    if False:\n",
            ("test_lattice.py",)),
+    Mutant("lefevre_combine checks its result against the first two sources' totals only", "rules.py",
+           "_total(m._masses for m in ms))",
+           "_total(m._masses for m in ms[:2]))",
+           ("test_cli.py",)),
+    Mutant("a bare MassAssignment reads as a sequence of its focal sets", "rules.py",
+           "    if isinstance(ms, MassAssignment):",
+           "    if False:",
+           ("test_rules.py",)),
+    Mutant("combine hands yager, smets and dubois-prade the first two sources only", "cli.py",
+           "result = _DST_RULES[rule](sources)",
+           "result = _DST_RULES[rule](sources[:2])",
+           ("test_cli.py",)),
+    Mutant("Stage reads a string as its characters", "dynamic.py",
+           "if isinstance(value := getattr(self, field), str):",
+           "if isinstance(value := getattr(self, field), bytes):",
+           ("test_dynamic.py",)),
     Mutant("the FOLD_LIMIT check admits twice the limit", "rules.py",
            "if len(states) * len(rows) * bits > FOLD_LIMIT:",
            "if len(states) * len(rows) * bits > 2 * FOLD_LIMIT:",

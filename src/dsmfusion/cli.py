@@ -48,6 +48,7 @@ from .rules import (
 from .worked_examples import EXAMPLE_IDS, run_example
 
 SWEEP_LIMIT = 10_001  # sweep rows: epsilon in steps of 1e-4
+_DST_RULES = {"yager": yager, "smets": smets, "dubois-prade": dubois_prade}  # each takes the sources alone
 
 
 def _parse_mass(text) -> float:
@@ -174,11 +175,8 @@ def _combine_static(doc: dict, frame: Frame, sources, model, args) -> tuple[int,
     elif rule == "dempster":
         result, conflict = dempster(sources)
         lines.append(f"conflict={conflict:.6f}")
-    elif rule in ("yager", "smets", "dubois-prade"):
-        if len(sources) != 2:
-            raise ScenarioError(f"rule {rule!r} combines exactly two sources")
-        fn = {"yager": yager, "smets": smets, "dubois-prade": dubois_prade}[rule]
-        result = fn(sources[0], sources[1])
+    elif rule in _DST_RULES:
+        result = _DST_RULES[rule](sources)
     elif rule == "mixture":
         entries = _list(doc, "mixture")
         if not entries:

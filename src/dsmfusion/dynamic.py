@@ -73,6 +73,11 @@ class Stage:
     add_source: MassAssignment | None = None
     set_constraints: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        for field in ("add_elements", "set_constraints"):
+            if isinstance(value := getattr(self, field), str):
+                raise ScenarioError(f"Stage {field!r} takes a sequence of strings, not the string {value!r}")
+
 
 def _list(obj: dict, key: str) -> list:
     value = obj.get(key, [])

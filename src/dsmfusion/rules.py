@@ -24,7 +24,9 @@ S1 is folded once and handed to S2 and S3, which read only tuples whose
 meet is empty under the model: when no S1 key is, neither of them runs.
 The DST rules are the classic fold on Shafer's surviving atoms, the
 singleton atoms (the low n bits), and Dubois-Prade is the hybrid rule
-under Shafer's model, compressed to the power set.
+under Shafer's model, compressed to the power set: it books each
+conflicting tuple on its union.  Every rule takes a sequence of two or
+more sources.
 
 The three tables keep their entries on model-empty rows, so a breakdown
 can show where constrained mass sat before the transfer; the final mass
@@ -62,6 +64,8 @@ RULE_NAMES = ("dsmc", "dsmh", "dempster", "yager", "smets", "dubois-prade", "mix
 
 
 def _common_frame(ms: Sequence[MassAssignment]) -> Frame:
+    if isinstance(ms, MassAssignment):  # its len() counts focal sets
+        raise FewerThanTwoSources("expected a sequence of sources, got one MassAssignment")
     if len(ms) < 2:
         raise FewerThanTwoSources(f"need at least 2 sources, got {len(ms)}")
     frame = ms[0].frame
@@ -251,12 +255,8 @@ def _check_distribution(values: Collection, error: type[Exception], noun: str, n
         raise error(f"{nouns} sum to {total!r}, expected 1")
 
 
-def lefevre_combine(
-    m1: MassAssignment,
-    m2: MassAssignment,
-    weights: Mapping[Proposition, float],
-) -> MassAssignment:
-    """Conjunctive combination with weighted redistribution of the conflict.
+def lefevre_combine(ms: Sequence[MassAssignment], weights: Mapping[Proposition, float]) -> MassAssignment:
+    """Conjunctive combination of the sources with weighted redistribution of the conflict.
 
     The weights map subsets of the frame (EMPTY allowed) to coefficients
     summing to one; each A receives w(A) times the conflict, and w(EMPTY)
@@ -271,7 +271,7 @@ def lefevre_combine(
         if not is_power_set_element(prop):
             raise NotPowerSetSupport(f"weight key {prop} is not a union of singletons")
     _check_distribution(weights.values(), WeightsNotNormalized, "weight", "weights")
-    frame, out, conflict = _conjunctive_power_set([m1, m2])
+    frame, out, conflict = _conjunctive_power_set(ms)
     empty_share = 0.0
     for prop, w in weights.items():
         if prop.frame != frame:
@@ -282,28 +282,28 @@ def lefevre_combine(
             out[prop.mask] = out.get(prop.mask, 0.0) + w * conflict
     if empty_share:
         out[0] = empty_share
-    return MassAssignment._from_masks(frame, out, empty_share > 0.0, m1.total * m2.total)
+    return MassAssignment._from_masks(frame, out, empty_share > 0.0, _total(m._masses for m in ms))
 
 
-def yager(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
+def yager(ms: Sequence[MassAssignment]) -> MassAssignment:
     """All conflict goes to total ignorance."""
-    return lefevre_combine(m1, m2, {total_ignorance(m1.frame): 1.0})
+    return lefevre_combine(ms, {total_ignorance(_common_frame(ms)): 1.0})
 
 
-def smets(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
+def smets(ms: Sequence[MassAssignment]) -> MassAssignment:
     """All conflict stays on EMPTY (open world)."""
-    return lefevre_combine(m1, m2, {_proposition(m1.frame, 0): 1.0})
+    return lefevre_combine(ms, {_proposition(_common_frame(ms), 0): 1.0})
 
 
-def dubois_prade(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
-    """Each conflicting product moves to the union of the pair that caused it.
+def dubois_prade(ms: Sequence[MassAssignment]) -> MassAssignment:
+    """Each conflicting product moves to the union of the focal sets that caused it.
 
     This is the hybrid rule under Shafer's model, compressed to the power
-    set: S3 books a conflicting pair on its union, and S2 moves the product
-    of two masses on EMPTY to total ignorance.
+    set: S3 books a conflicting tuple on its union, and S2 moves the product
+    of masses on EMPTY, one from every source, to total ignorance.
     """
-    model = shafer_model(_power_set_frame([m1, m2]))
-    return compress(model, dsm_hybrid([m1, m2], model).result)
+    model = shafer_model(_power_set_frame(ms))
+    return compress(model, dsm_hybrid(ms, model).result)
 
 
 @dataclass(frozen=True)

@@ -251,16 +251,16 @@ def test_criterion_9_lefevre_recovery():
         pairs += 1
         weights = {p: v / (1 - conflict) for p, v in conj.items()}
         weights[empty(frame)] = 0.0
-        via_weights = lefevre_combine(ms[0], ms[1], weights)
+        via_weights = lefevre_combine(ms, weights)
         direct, _ = dempster(ms)
         for p in set(via_weights.keys()) | set(direct.keys()):
             assert abs(via_weights[p] - direct[p]) <= 1e-12
 
         # Yager: conflict moves to total ignorance; Smets: stays on EMPTY.
-        y = yager(ms[0], ms[1])
+        y = yager(ms)
         assert abs(y[it] - (conj.get(it, 0.0) + conflict)) <= 1e-12
         assert abs(y[t1] - conj.get(t1, 0.0)) <= 1e-12
-        s = smets(ms[0], ms[1])
+        s = smets(ms)
         assert abs(s[empty(frame)] - conflict) <= 1e-12
         assert abs(s[t2] - conj.get(t2, 0.0)) <= 1e-12
     _ok(9, "lefevre/dempster agreement and Yager/Smets weights on 100 random pairs")

@@ -360,7 +360,8 @@ class TestCombine:
     @pytest.mark.parametrize("doc,rule", [
         # each source sums to 0.9999999999, inside SUM_TOLERANCE; twelve of them multiply
         # to 0.9999999988, which a check against 1 refused
-        *(pytest.param(SOURCES_SHORT_OF_ONE, rule, id=f"short-{rule}") for rule in ("dsmc", "dsmh")),
+        *(pytest.param(SOURCES_SHORT_OF_ONE, rule, id=f"short-{rule}")
+          for rule in ("dsmc", "dsmh", "yager", "smets", "dubois-prade", "dempster")),
         # each source sums to 1.0000000009; the unnormalized rules' results sum to 1.0000000018
         *(pytest.param(SOURCES_PAST_ONE, rule, id=f"past-{rule}")
           for rule in ("dsmh", "yager", "smets", "dubois-prade", "dempster")),
@@ -368,6 +369,16 @@ class TestCombine:
     def test_results_are_checked_against_their_sources_totals(self, scenario_file, capsys, doc, rule):
         assert main(["combine", "--scenario", scenario_file(doc), "--rule", rule]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("rule", ["dubois-prade", "yager", "smets", "dempster"])
+    def test_dst_rules_combine_three_sources(self, scenario_file, capsys, rule):
+        # the one tuple (t1, t2, t3) has an empty meet and the union t1|t2|t3
+        want = {"dubois-prade": (0, ["t1|t2|t3", "1.000000"]), "yager": (0, ["t1|t2|t3|t4", "1.000000"]),
+                "smets": (0, ["EMPTY", "1.000000"]), "dempster": (3, [])}[rule]
+        path = scenario_file({"frame": ["t1", "t2", "t3", "t4"],
+                              "sources": [source(f"s{t}", (t, "1")) for t in ("t1", "t2", "t3")]})
+        code = main(["combine", "--scenario", path, "--rule", rule])
+        assert (code, capsys.readouterr().out.split()) == want
 
     @pytest.mark.parametrize("rule", ["dempster", "yager", "smets", "dubois-prade"])
     def test_dst_rules_refuse_an_empty_singleton(self, scenario_file, capsys, rule):

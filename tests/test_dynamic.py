@@ -148,6 +148,13 @@ class TestRunSession:
         with pytest.raises(FewerThanTwoSources):
             run_session(frame2, [assignment(frame2, {"t1": 1.0})], [])
 
+    @pytest.mark.parametrize("field, text", [("add_elements", "ab"), ("add_elements", "t34"),
+                                             ("set_constraints", "t1&t2")])
+    def test_stage_refuses_a_string_for_a_sequence(self, field, text):
+        # read as its characters, "ab" grew the frame by a and b, and "t1&t2" named 't'
+        with pytest.raises(ScenarioError, match=f"'{field}' takes a sequence of strings, not the string"):
+            Stage("x", **{field: text})
+
     def test_dsmc_rejects_constraints(self, frame2):
         with pytest.raises(RuleNotApplicable):
             run_session(frame2, dyn12_sources(frame2), [], rule="dsmc",

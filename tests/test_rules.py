@@ -432,7 +432,7 @@ class TestLefevreFamily:
             assert conflict < 1.0
             weights = {p: v / (1 - conflict) for p, v in conj.items()}
             weights[empty(frame2)] = 0.0
-            got = lefevre_combine(ms[0], ms[1], weights)
+            got = lefevre_combine(ms, weights)
             want, _ = dempster(ms)
             for p in set(got.keys()) | set(want.keys()):
                 assert got[p] == pytest.approx(want[p], abs=1e-12)
@@ -440,7 +440,7 @@ class TestLefevreFamily:
     def test_yager(self, frame2):
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         m2 = assignment(frame2, {"t1": 0.7, "t2": 0.3})
-        out = yager(m1, m2)
+        out = yager([m1, m2])
         assert out[parse(frame2, "t1")] == pytest.approx(0.42)
         assert out[parse(frame2, "t2")] == pytest.approx(0.12)
         assert out[parse(frame2, "t1|t2")] == pytest.approx(0.46)
@@ -448,67 +448,67 @@ class TestLefevreFamily:
     def test_yager_full_contradiction(self, frame2):
         m1 = assignment(frame2, {"t1": 1.0})
         m2 = assignment(frame2, {"t2": 1.0})
-        out = yager(m1, m2)
+        out = yager([m1, m2])
         assert out[parse(frame2, "t1|t2")] == pytest.approx(1.0)
 
     def test_smets_keeps_conflict_on_empty(self, frame2):
         m1 = assignment(frame2, {"t1": 1.0})
         m2 = assignment(frame2, {"t2": 1.0})
-        out = smets(m1, m2)
+        out = smets([m1, m2])
         assert out[empty(frame2)] == pytest.approx(1.0)
         assert out.smets_mode
 
     def test_no_conflict_pair(self, frame2):
         m1 = assignment(frame2, {"t1": 1.0})
-        out_y = yager(m1, m1)
-        out_s = smets(m1, m1)
+        out_y = yager([m1, m1])
+        out_s = smets([m1, m1])
         assert out_y[parse(frame2, "t1")] == 1.0
         assert out_s[parse(frame2, "t1")] == 1.0
 
     def test_weights_not_normalized(self, frame2):
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         with pytest.raises(WeightsNotNormalized):
-            lefevre_combine(m1, m1, {parse(frame2, "t1"): 0.5})
+            lefevre_combine([m1, m1], {parse(frame2, "t1"): 0.5})
 
     @pytest.mark.parametrize("bad", [*NON_FINITE, "1", None, True])
     def test_non_finite_weight(self, frame2, bad):
         # True counts as 1 in the sum, so it would read as Yager's rule
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         with pytest.raises(WeightsNotNormalized, match="is not a finite number"):
-            lefevre_combine(m1, m1, {total_ignorance(frame2): bad})
+            lefevre_combine([m1, m1], {total_ignorance(frame2): bad})
 
     def test_negative_weight(self, frame2):
         # summing to one, these weights would give t1 1.5 times the conflict and
         # take half of it from t2: {t1: 0.88, t2: 0.12}
         m1 = assignment(frame2, {"t1": 0.4, "t2": 0.6})
         with pytest.raises(WeightsNotNormalized, match="negative"):
-            lefevre_combine(m1, m1, {parse(frame2, "t1"): 1.5, parse(frame2, "t2"): -0.5})
+            lefevre_combine([m1, m1], {parse(frame2, "t1"): 1.5, parse(frame2, "t2"): -0.5})
 
     @pytest.mark.parametrize("key", ["t1", None])
     def test_weight_key_not_a_proposition(self, frame2, key):
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         with pytest.raises(NotAnElement):
-            lefevre_combine(m1, m1, {key: 1.0})
+            lefevre_combine([m1, m1], {key: 1.0})
 
     def test_weight_key_not_in_power_set(self, frame2):
         # conflict booked on t1&t2 would make an assignment bel and dempster refuse
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         m2 = assignment(frame2, {"t1": 0.1, "t2": 0.9})
         with pytest.raises(NotPowerSetSupport):
-            lefevre_combine(m1, m2, {parse(frame2, "t1&t2"): 1.0})
+            lefevre_combine([m1, m2], {parse(frame2, "t1&t2"): 1.0})
 
 
 class TestDuboisPrade:
     def test_full_contradiction(self, frame2):
         m1 = assignment(frame2, {"t1": 1.0})
         m2 = assignment(frame2, {"t2": 1.0})
-        out = dubois_prade(m1, m2)
+        out = dubois_prade([m1, m2])
         assert out[parse(frame2, "t1|t2")] == pytest.approx(1.0)
 
     def test_partial_conflict_to_pair_union(self, frame2):
         m1 = assignment(frame2, {"t1": 0.6, "t2": 0.4})
         m2 = assignment(frame2, {"t1": 0.7, "t2": 0.3})
-        out = dubois_prade(m1, m2)
+        out = dubois_prade([m1, m2])
         assert out[parse(frame2, "t1")] == pytest.approx(0.42)
         assert out[parse(frame2, "t2")] == pytest.approx(0.12)
         assert out[parse(frame2, "t1|t2")] == pytest.approx(0.46)
@@ -516,7 +516,7 @@ class TestDuboisPrade:
     def test_no_conflict_is_conjunctive(self, frame3):
         m1 = assignment(frame3, {"t1": 0.5, "t1|t2": 0.5})
         m2 = assignment(frame3, {"t1": 0.3, "t1|t2|t3": 0.7})
-        out = dubois_prade(m1, m2)
+        out = dubois_prade([m1, m2])
         assert out[parse(frame3, "t1")] == pytest.approx(0.5 * 0.3 + 0.5 * 0.7 + 0.5 * 0.3)
         assert out[parse(frame3, "t1|t2")] == pytest.approx(0.35)
 
@@ -524,7 +524,7 @@ class TestDuboisPrade:
         frame = build_frame(["t1", "t2", "t3"])
         m1 = MassAssignment(frame, {singleton(frame, 1): 0.5, singleton(frame, 3): 0.5})
         m2 = MassAssignment(frame, {singleton(frame, 2): 1.0})
-        out = dubois_prade(m1, m2)
+        out = dubois_prade([m1, m2])
         assert out[parse(frame, "t1|t2")] == pytest.approx(0.5)
         assert out[parse(frame, "t2|t3")] == pytest.approx(0.5)
 
@@ -532,7 +532,7 @@ class TestDuboisPrade:
         """The hybrid rule under Shafer's model: S2 moves two EMPTY masses' product to total ignorance."""
         m1 = MassAssignment(frame2, {empty(frame2): 0.2, parse(frame2, "t1"): 0.8}, smets_mode=True)
         m2 = MassAssignment(frame2, {empty(frame2): 0.5, parse(frame2, "t2"): 0.5}, smets_mode=True)
-        out = dubois_prade(m1, m2)
+        out = dubois_prade([m1, m2])
         assert {to_expression(p): v for p, v in out.items()} == \
             pytest.approx({"t1": 0.4, "t2": 0.1, "t1|t2": 0.5}, abs=1e-15)
         assert not out.smets_mode
@@ -709,24 +709,22 @@ def test_every_rule_matches_tuple_walk(seed, n, k):
     else:
         with pytest.raises(FullContradiction):
             dempster(ps)
-    combined, conflicts = oracle_dst(ps[:2])
-    conflict = fsum(conflicts.values())
     ti, nothing = total_ignorance(frame), empty(frame)
     yager_want = dict(combined)
     yager_want[ti] = yager_want.get(ti, 0.0) + conflict
-    assert_same_masses(yager(*ps[:2]), yager_want)
-    assert_same_masses(smets(*ps[:2]), {**combined, nothing: conflict})
+    assert_same_masses(yager(ps), yager_want)
+    assert_same_masses(smets(ps), {**combined, nothing: conflict})
     dp_want = dict(combined)
     for p, v in conflicts.items():
         dp_want[p] = dp_want.get(p, 0.0) + v
-    assert_same_masses(dubois_prade(*ps[:2]), dp_want)
+    assert_same_masses(dubois_prade(ps), dp_want)
     weights = {ti: 0.5, nothing: 0.25}
     first = ps[0].keys()[0]
     weights[first] = weights.get(first, 0.0) + 0.25
     lefevre_want = dict(combined)
     for p, w in weights.items():
         lefevre_want[p] = lefevre_want.get(p, 0.0) + w * conflict
-    assert_same_masses(lefevre_combine(*ps[:2], weights), lefevre_want)
+    assert_same_masses(lefevre_combine(ps, weights), lefevre_want)
 
 
 def with_dead_share(rng, frame, k, dead):
@@ -854,14 +852,39 @@ def test_classic_and_dst_rules_skip_generators(frame3, monkeypatch):
     monkeypatch.setattr(rules, "_u_digits", no_generators)
     dsm_classic(ms)
     dempster(ps)
-    yager(*ps)
-    smets(*ps)
-    dubois_prade(*ps)
-    lefevre_combine(*ps, {total_ignorance(frame3): 1.0})
+    yager(ps)
+    smets(ps)
+    dubois_prade(ps)
+    lefevre_combine(ps, {total_ignorance(frame3): 1.0})
     dsm_hybrid(ms, build_model(frame3, []))
     dsm_hybrid(ms, model_for(frame3, "t1&t3"))  # empties SOURCE_A's t1&t3 only
     with pytest.raises(AssertionError, match="generators extracted"):
         dsm_hybrid(ms, model_for(frame3, "t1&t2"))
+
+
+FREE2 = build_model(build_frame(("t1", "t2")), [])
+RULE_CALLS = {
+    "dsm_classic": dsm_classic,
+    "dsm_hybrid": lambda ms: dsm_hybrid(ms, FREE2),
+    "dempster": dempster,
+    "bayesian_mixture": lambda ms: bayesian_mixture(ms, MixtureSpec(((FREE2, 1.0),))),
+    "lefevre_combine": lambda ms: lefevre_combine(ms, {total_ignorance(FREE2.frame): 1.0}),
+    "yager": yager,
+    "smets": smets,
+    "dubois_prade": dubois_prade,
+}
+
+
+@pytest.mark.parametrize("rule", RULE_CALLS)
+@pytest.mark.parametrize("sources", ["bare", "none", "one"])
+def test_every_rule_takes_a_sequence_of_two_or_more_sources(frame2, rule, sources):
+    # len() of a bare assignment counts its focal sets, and [0] reads its mass on EMPTY
+    m = assignment(frame2, {"t1": 0.6, "t2": 0.4})
+    arg, message = {"bare": (m, "expected a sequence of sources, got one MassAssignment"),
+                    "none": ([], "need at least 2 sources, got 0"),
+                    "one": ([m], "need at least 2 sources, got 1")}[sources]
+    with pytest.raises(FewerThanTwoSources, match=message):
+        RULE_CALLS[rule](arg)
 
 
 @settings(max_examples=200, deadline=None)
